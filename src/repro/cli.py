@@ -72,13 +72,6 @@ def _add_validation(parser: argparse.ArgumentParser) -> None:
              "or active — both are bit-identical",
     )
     parser.add_argument(
-        "--engine", choices=["object", "vector"], default="",
-        help="tick engine: 'object' is the per-object golden "
-             "reference, 'vector' the struct-of-arrays batched engine; "
-             "default = REPRO_ENGINE env or object — both produce "
-             "bit-identical stats fingerprints",
-    )
-    parser.add_argument(
         "--telemetry", nargs="?", const=1, default=0, type=int,
         metavar="N",
         help="sample read-only telemetry probes every N cycles (bare "
@@ -127,7 +120,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         watchdog_cycles=getattr(args, "watchdog_cycles", 0),
         faults=faults,
         scheduler=getattr(args, "scheduler", ""),
-        engine=getattr(args, "engine", ""),
         telemetry=getattr(args, "telemetry", 0),
     )
 
@@ -210,12 +202,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    from .harness.bench import check_tolerance
+
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .harness.bench import (
         compare_bench,
         format_bench,
         load_bench,
         run_bench,
+        scheduler_violations,
         write_bench,
     )
 
@@ -223,7 +232,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scenarios=args.scenarios or None,
         repeat=args.repeat,
         scheduler=args.scheduler,
-        engine=args.engine,
     )
     baseline = None
     if args.baseline:
@@ -234,12 +242,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if baseline is not None:
         violations = compare_bench(data, baseline,
                                    tolerance=args.tolerance)
-        if violations:
-            print(f"\nbench gate FAILED vs {args.baseline}:",
-                  file=sys.stderr)
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-            return 1
+        against = f"vs {args.baseline}"
+    else:
+        violations = scheduler_violations(data)
+        against = "(dense vs active)"
+    if violations:
+        print(f"\nbench gate FAILED {against}:", file=sys.stderr)
+        for violation in violations:
+            print(f"  {violation}", file=sys.stderr)
+        return 1
+    if baseline is not None:
         print(f"bench gate passed vs {args.baseline} "
               f"(tolerance {args.tolerance:.0%})")
     return 0
@@ -611,17 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="run the perf scenarios; gate against a baseline"
     )
-    p_bench.add_argument("--repeat", type=int, default=3,
-                         help="take the best of N runs (default 3)")
-    p_bench.add_argument("--scheduler", choices=["dense", "active"],
+    p_bench.add_argument("--repeat", type=_positive_int, default=3,
+                         help="take the best of N >= 1 runs (default 3)")
+    p_bench.add_argument("--scheduler", choices=["dense", "active", "both"],
                          default="active",
-                         help="tick discipline to benchmark "
-                              "(default active)")
-    p_bench.add_argument("--engine", choices=["object", "vector"],
-                         default=None,
-                         help="force one tick engine for every scenario "
-                              "(default: each scenario's own — the "
-                              "*_vector twins run vectorised)")
+                         help="tick discipline to benchmark (default "
+                              "active); 'both' runs every scenario "
+                              "under dense and active and fails on a "
+                              "checksum divergence")
     p_bench.add_argument("--scenarios", nargs="*", metavar="NAME",
                          help="subset of scenarios to run "
                               "(default: all)")
@@ -632,10 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="gate against this BENCH.json: exit 1 on "
                               "any checksum change or a cycles/s drop "
                               "past --tolerance")
-    p_bench.add_argument("--tolerance", type=float, default=0.25,
+    p_bench.add_argument("--tolerance", type=_tolerance, default=0.25,
                          metavar="FRAC",
-                         help="allowed fractional cycles/s regression "
-                              "(default 0.25)")
+                         help="allowed fractional cycles/s regression, "
+                              "in [0, 1) (default 0.25)")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_fig = sub.add_parser("figure", help="regenerate a light paper figure")

@@ -3,58 +3,42 @@
 Scenarios bracket the simulator's tick hot path:
 
 * ``synthetic`` — uniform random traffic on a saturated 24x24 network,
-  dominated by the allocation/traversal loop.  This is the scenario the
-  vector engine is gated on: ``synthetic_vector`` runs the identical
-  configuration under ``--engine vector`` and must reproduce the object
-  engine's checksum bit-for-bit while clearing a minimum speedup;
+  dominated by the allocation/traversal loop;
 * ``low_load`` — uniform traffic on a 16x16 network at a 0.2% injection
-  rate, the mostly-idle regime the active-set scheduler exists for
-  (also paired with ``low_load_vector``);
+  rate, the mostly-idle regime the active-set scheduler exists for;
 * ``system`` — one full (scheme, benchmark) cell through the GPU model,
   the shape every harness sweep repeats hundreds of times;
 * ``ring_router`` / ``routerless`` — full-system cells on the loop
   topologies, so checksum or cycles/s regressions in the independent
-  baseline schemes fail the gate like the mesh ones (object engine
-  only — the loop schemes have no vector twin by design).
+  baseline schemes fail the gate like the mesh ones.
 
 Each scenario reports wall-clock throughput (cycles/s, best of
 ``repeat`` runs) *and* a behaviour checksum over the simulated
 statistics.  ``compare_bench`` turns a current/baseline pair into a
 list of violations: a checksum change is always fatal (simulated
-behaviour drifted), a throughput drop is fatal past the tolerance, an
-object<->vector checksum divergence between paired scenarios is fatal
-(the engine-parity contract broke), and a vector speedup below
-``MIN_ENGINE_SPEEDUP`` on ``synthetic`` is fatal (the vector engine
-stopped paying for itself).  ``repro bench`` wires this into CI as the
-bench-gate job against the committed ``BENCH_BASELINE.json``.
+behaviour drifted) and a throughput drop is fatal past the tolerance.
+A run under both schedulers (``scheduler="both"``) also carries the
+dense oracle's rows, and a dense/active checksum divergence is fatal
+with or without a baseline (:func:`scheduler_violations`).
+``repro bench`` wires this into CI as the bench-gate job against the
+committed ``BENCH_BASELINE.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .. import __version__
 from ..core.grid import Grid
 from ..workloads.synthetic import run_uniform
 
-BENCH_SCHEMA = 3
+BENCH_SCHEMA = 4
 DEFAULT_TOLERANCE = 0.25
-
-# The vector engine must beat the object engine by at least this factor
-# on the saturated ``synthetic`` scenario (wall-clock cycles/s measured
-# on the same machine in the same run, so no calibration applies).
-MIN_ENGINE_SPEEDUP = 3.0
-
-# (vector scenario, object scenario) pairs whose behaviour checksums
-# must agree: both engines simulate the identical configuration.
-ENGINE_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("synthetic_vector", "synthetic"),
-    ("low_load_vector", "low_load"),
-)
 
 _CALIBRATION_LOOPS = 2_000_000
 
@@ -81,6 +65,8 @@ def calibrate(repeat: int = 3) -> float:
 
 def _time_best(repeat: int, fn: Callable[[], object]):
     """Best-of-N wall-clock timing; returns (seconds, last result)."""
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
     best = None
     result = None
     for _ in range(repeat):
@@ -100,17 +86,15 @@ def _network_checksum(result) -> str:
 def _uniform_row(
     repeat: int,
     scheduler: str,
-    engine: str,
     width: int,
     rate: float,
     cycles: int,
 ) -> Dict[str, object]:
     best, result = _time_best(repeat, lambda: run_uniform(
         Grid(width), injection_rate=rate, cycles=cycles, seed=1,
-        scheduler=scheduler, engine=engine,
+        scheduler=scheduler,
     ))
     return {
-        "engine": engine,
         "cycles": result.cycles,
         "seconds": best,
         "cycles_per_s": result.cycles / best,
@@ -119,40 +103,19 @@ def _uniform_row(
     }
 
 
-def _scenario_synthetic(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
+def _scenario_synthetic(repeat: int, scheduler: str) -> Dict[str, object]:
     """Saturated uniform traffic: the allocation/traversal hot loop."""
-    return _uniform_row(repeat, scheduler, engine,
-                        width=24, rate=0.08, cycles=500)
+    return _uniform_row(repeat, scheduler, width=24, rate=0.08, cycles=500)
 
 
-def _scenario_synthetic_vector(
-    repeat: int, scheduler: str, engine: str = "vector"
-) -> Dict[str, object]:
-    """``synthetic`` under the struct-of-arrays engine."""
-    return _scenario_synthetic(repeat, scheduler, engine)
-
-
-def _scenario_low_load(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
+def _scenario_low_load(repeat: int, scheduler: str) -> Dict[str, object]:
     """Sparse traffic on a big mesh: mostly-idle routers and NIs."""
-    return _uniform_row(repeat, scheduler, engine,
-                        width=16, rate=0.002, cycles=3000)
-
-
-def _scenario_low_load_vector(
-    repeat: int, scheduler: str, engine: str = "vector"
-) -> Dict[str, object]:
-    """``low_load`` under the struct-of-arrays engine."""
-    return _scenario_low_load(repeat, scheduler, engine)
+    return _uniform_row(repeat, scheduler, width=16, rate=0.002, cycles=3000)
 
 
 def _system_row(
     repeat: int,
     scheduler: str,
-    engine: str,
     scheme: str,
     benchmark: str,
     **config_kwargs,
@@ -160,13 +123,11 @@ def _system_row(
     """One full (scheme, benchmark) cell through the GPU model."""
     from .experiment import ExperimentConfig, run_experiment
 
-    config = ExperimentConfig(scheduler=scheduler, engine=engine,
-                              **config_kwargs)
+    config = ExperimentConfig(scheduler=scheduler, **config_kwargs)
     best, result = _time_best(
         repeat, lambda: run_experiment(scheme, benchmark, config)
     )
     return {
-        "engine": engine,
         "cycles": result.cycles,
         "seconds": best,
         "cycles_per_s": result.cycles / best,
@@ -176,43 +137,32 @@ def _system_row(
     }
 
 
-def _scenario_system(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
+def _scenario_system(repeat: int, scheduler: str) -> Dict[str, object]:
     """One full-system experiment cell (SeparateBase x kmeans)."""
-    return _system_row(repeat, scheduler, engine, "SeparateBase",
+    return _system_row(repeat, scheduler, "SeparateBase",
                        "kmeans", quota=40, mcts_iterations=40)
 
 
-def _scenario_ring_router(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
+def _scenario_ring_router(repeat: int, scheduler: str) -> Dict[str, object]:
     """Full-system cell on the counter-rotating-ring baseline.
 
     A smaller mesh than ``system``: the serpentine ring's average hop
     count grows with the square of the width, so a 6x6 cell already
-    exercises the loop hot path at comparable wall-clock cost.  The
-    engine is pinned to object — loop topologies have no vector twin,
-    so a forced ``--engine vector`` run keeps these cells meaningful
-    instead of crashing.
+    exercises the loop hot path at comparable wall-clock cost.
     """
-    return _system_row(repeat, scheduler, "object", "ring_router",
+    return _system_row(repeat, scheduler, "ring_router",
                        "kmeans", width=6, num_cbs=5, quota=24)
 
 
-def _scenario_routerless(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
-    """Full-system cell on the routerless loop baseline (object-only)."""
-    return _system_row(repeat, scheduler, "object", "routerless",
+def _scenario_routerless(repeat: int, scheduler: str) -> Dict[str, object]:
+    """Full-system cell on the routerless loop baseline."""
+    return _system_row(repeat, scheduler, "routerless",
                        "kmeans", width=6, num_cbs=5, quota=24)
 
 
-SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
+SCENARIOS: Dict[str, Callable[[int, str], Dict[str, object]]] = {
     "synthetic": _scenario_synthetic,
-    "synthetic_vector": _scenario_synthetic_vector,
     "low_load": _scenario_low_load,
-    "low_load_vector": _scenario_low_load_vector,
     "system": _scenario_system,
     "ring_router": _scenario_ring_router,
     "routerless": _scenario_routerless,
@@ -223,9 +173,8 @@ def run_scenario(
     name: str,
     repeat: int = 3,
     scheduler: str = "active",
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Run one named scenario under one scheduler (and engine)."""
+    """Run one named scenario under one scheduler."""
     try:
         fn = SCENARIOS[name]
     except KeyError:
@@ -233,8 +182,6 @@ def run_scenario(
             f"unknown bench scenario {name!r}; "
             f"known: {sorted(SCENARIOS)}"
         ) from None
-    if engine is not None:
-        return fn(repeat, scheduler, engine)
     return fn(repeat, scheduler)
 
 
@@ -242,29 +189,34 @@ def run_bench(
     scenarios: Optional[Iterable[str]] = None,
     repeat: int = 3,
     scheduler: str = "active",
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the scenario suite; returns the BENCH.json payload.
 
-    ``engine`` of ``None`` keeps each scenario's own engine (the
-    ``*_vector`` twins run vectorised, everything else object) — the
-    shape the gate's cross-engine checks expect.  Forcing one engine
-    for every scenario is a measurement convenience; gating a forced
-    run would trip the vector-speedup floor at 1.0x.
+    ``scheduler="both"`` runs every scenario under the dense oracle and
+    the active scheduler: the active rows fill ``scenarios`` (the rows
+    the gate compares against a baseline) and the dense rows fill
+    ``dense_scenarios`` for :func:`scheduler_violations`.
     """
     names = list(scenarios) if scenarios is not None else list(SCENARIOS)
-    return {
+    data: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
         "version": __version__,
         "scheduler": scheduler,
-        "engine": engine or "",
         "repeat": repeat,
         "calibration_s": calibrate(),
-        "scenarios": {
-            name: run_scenario(name, repeat, scheduler, engine)
-            for name in names
-        },
     }
+    if scheduler == "both":
+        rows = {"dense": {}, "active": {}}
+        for name in names:
+            for sched, sched_rows in rows.items():
+                sched_rows[name] = run_scenario(name, repeat, sched)
+        data["scenarios"] = rows["active"]
+        data["dense_scenarios"] = rows["dense"]
+    else:
+        data["scenarios"] = {
+            name: run_scenario(name, repeat, scheduler) for name in names
+        }
+    return data
 
 
 def write_bench(path, data: Dict[str, object]) -> Path:
@@ -279,43 +231,40 @@ def load_bench(path) -> Dict[str, object]:
     return json.loads(Path(path).read_text())
 
 
-def engine_violations(
-    rows: Dict[str, Dict[str, object]],
-    min_speedup: float = MIN_ENGINE_SPEEDUP,
-) -> List[str]:
-    """Cross-engine checks within one bench run.
+def scheduler_violations(data: Dict[str, object]) -> List[str]:
+    """Dense/active checksum divergences within one ``both`` run.
 
-    * Paired scenarios (``ENGINE_PAIRS``) simulate the identical
-      configuration under both tick engines, so a checksum mismatch
-      means the engine-parity contract broke — always fatal.
-    * On ``synthetic`` the vector engine must clear ``min_speedup``
-      over the object engine.  Both figures come from the same run on
-      the same machine, so the ratio needs no calibration scaling.
+    Both schedulers simulate the identical configuration, so a checksum
+    mismatch means the active scheduler changed behaviour — always
+    fatal, and measured in-run, so no baseline is needed.  A
+    single-scheduler run has no dense rows and yields no violations.
     """
+    dense_rows = data.get("dense_scenarios", {})
     violations: List[str] = []
-    for vec_name, obj_name in ENGINE_PAIRS:
-        vec = rows.get(vec_name)
-        obj = rows.get(obj_name)
-        if vec is None or obj is None:
-            continue
-        if vec["checksum"] != obj["checksum"]:
+    for name, active in sorted(data.get("scenarios", {}).items()):
+        dense = dense_rows.get(name)
+        if dense is not None and dense["checksum"] != active["checksum"]:
             violations.append(
-                f"{obj_name}: object/vector checksum divergence "
-                f"{obj['checksum']} != {vec['checksum']} "
-                f"(engine-parity contract broke)"
-            )
-    vec = rows.get("synthetic_vector")
-    obj = rows.get("synthetic")
-    if vec is not None and obj is not None and obj["cycles_per_s"]:
-        speedup = vec["cycles_per_s"] / obj["cycles_per_s"]
-        if speedup < min_speedup:
-            violations.append(
-                f"synthetic: vector engine speedup {speedup:.2f}x is "
-                f"below the {min_speedup:.1f}x floor "
-                f"({vec['cycles_per_s']:.0f} vs "
-                f"{obj['cycles_per_s']:.0f} cycles/s)"
+                f"{name}: dense/active checksum divergence "
+                f"{dense['checksum']} != {active['checksum']} "
+                f"(the active scheduler changed behaviour)"
             )
     return violations
+
+
+def check_tolerance(tolerance: float) -> float:
+    """Reject a tolerance that would let the gate pass vacuously.
+
+    A NaN floor compares false against every figure, and a tolerance of
+    1 or more puts the floor at or below zero; either would pass a run
+    of any slowness.
+    """
+    if not (math.isfinite(tolerance) and 0.0 <= tolerance < 1.0):
+        raise ValueError(
+            f"tolerance must be a finite fraction in [0, 1), "
+            f"got {tolerance!r}"
+        )
+    return tolerance
 
 
 def compare_bench(
@@ -341,12 +290,13 @@ def compare_bench(
       throughput violation says so explicitly.
     * A scenario present in the baseline but missing from the current
       run is a violation (silent coverage loss).
-    * Cross-engine checks (:func:`engine_violations`) run on the
-      current rows: object/vector checksum divergence and a vector
-      speedup below the floor are violations.
+    * A dense/active checksum divergence in the current run
+      (:func:`scheduler_violations`) is a violation.
 
-    Speedups and new scenarios never fail the gate.
+    Speedups and new scenarios never fail the gate.  A ``tolerance``
+    outside ``[0, 1)`` raises ``ValueError`` (:func:`check_tolerance`).
     """
+    check_tolerance(tolerance)
     violations: List[str] = []
     base_schema = baseline.get("schema")
     if base_schema != BENCH_SCHEMA:
@@ -402,7 +352,7 @@ def compare_bench(
                 f"{name}: {cur['cycles_per_s']:.0f} cycles/s is "
                 f"{ratio:.2f}x {detail}"
             )
-    violations.extend(engine_violations(cur_rows))
+    violations.extend(scheduler_violations(current))
     return violations
 
 
@@ -429,24 +379,15 @@ def format_bench(
             ratio = row["cycles_per_s"] / base["cycles_per_s"]
             line += f"  ({ratio:.2f}x baseline)"
         lines.append(line)
-    vec = rows.get("synthetic_vector")
-    obj = rows.get("synthetic")
-    if vec and obj and obj["cycles_per_s"]:
-        lines.append(
-            f"vector/object speedup on synthetic: "
-            f"{vec['cycles_per_s'] / obj['cycles_per_s']:.2f}x "
-            f"(floor {MIN_ENGINE_SPEEDUP:.1f}x)"
-        )
+    dense_rows = data.get("dense_scenarios", {})
+    for name, row in sorted(rows.items()):
+        dense = dense_rows.get(name)
+        if dense and dense["cycles_per_s"]:
+            lines.append(
+                f"{name:<18} active/dense speedup "
+                f"{row['cycles_per_s'] / dense['cycles_per_s']:.2f}x "
+                f"(dense {dense['cycles_per_s']:.0f} cycles/s, "
+                f"checksum {dense['checksum']})"
+            )
     return "\n".join(lines)
 
-
-def checksum_divergence(
-    rows: Dict[str, Dict[str, object]]
-) -> Optional[Tuple[str, str]]:
-    """Checksum pair if two scheduler runs of one scenario diverge."""
-    if len(rows) != 2:
-        return None
-    a, b = rows.values()
-    if a["checksum"] != b["checksum"]:
-        return a["checksum"], b["checksum"]
-    return None

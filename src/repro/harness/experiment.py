@@ -66,12 +66,6 @@ class ExperimentConfig:
     # oracle).  Empty defers to REPRO_SCHEDULER, defaulting to active.
     # Both produce bit-identical stats fingerprints.
     scheduler: str = ""
-    # Tick engine: "object" (per-object golden reference) or "vector"
-    # (struct-of-arrays batched tick, repro.noc.vector).  Empty defers
-    # to REPRO_ENGINE, defaulting to object.  Both produce bit-identical
-    # stats fingerprints (enforced by the engine-parity differential
-    # contract).
-    engine: str = ""
     # Telemetry sampling interval in base cycles: 0 = off (the
     # REPRO_TELEMETRY env var supplies a default, like REPRO_VALIDATE),
     # 1 = the default interval, N > 1 = every N cycles.  Probes are
@@ -139,14 +133,12 @@ def build_fabric(
         return Fabric(
             scheme, grid, design.placement.nodes, equinox_design=design,
             scheduler=config.scheduler or None,
-            engine=config.engine or None,
         )
     placement = cache.placement(
         scheme.placement_name, config.width, config.num_cbs
     )
     return Fabric(
-        scheme, grid, placement.nodes, scheduler=config.scheduler or None,
-        engine=config.engine or None,
+        scheme, grid, placement.nodes, scheduler=config.scheduler or None
     )
 
 

@@ -160,7 +160,6 @@ def network_dump(
     audit: bool = True,
 ) -> str:
     """A structured diagnostic dump of one network's live state."""
-    net.sync_for_inspection()
     lines = [f"=== network {net.name!r} @ cycle {net.cycle} "
              f"(last progress {net.last_progress}) ==="]
     if audit:

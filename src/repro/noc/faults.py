@@ -478,7 +478,6 @@ class FaultInjector:
         # set tracks has_work exactly.
         buf.stalled = False
         net.faults_fired = True
-        net.soa_invalidate()
         stats = net.stats
         if buf.cur_vc is not None:
             # Mid-wormhole: pull the on-wire flits back first.  They
@@ -531,19 +530,16 @@ class FaultInjector:
         # whose sleep decision predates the heal.
         buf.stalled = False
         target.net.wake_ni(target.ni)
-        target.net.soa_invalidate()
 
     def _fail_link(self, target: _LinkTarget) -> None:
         if target.port not in target.router.failed_outputs:
             target.router.failed_outputs.add(target.port)
             target.net.faults_fired = True
-            target.net.soa_invalidate()
             self.applied += 1
 
     def _heal_link(self, target: _LinkTarget) -> None:
         if target.port in target.router.failed_outputs:
             target.router.failed_outputs.discard(target.port)
-            target.net.soa_invalidate()
             self.healed += 1
 
     # ------------------------------------------------------------------

@@ -36,9 +36,6 @@ from .types import Flit, Packet
 SCHEDULER_ENV = "REPRO_SCHEDULER"
 SCHEDULERS = ("dense", "active")
 
-ENGINE_ENV = "REPRO_ENGINE"
-ENGINES = ("object", "vector")
-
 
 def resolve_scheduler(value: Optional[str] = None) -> str:
     """Normalise a scheduler choice (arg > ``REPRO_SCHEDULER`` > active)."""
@@ -52,36 +49,16 @@ def resolve_scheduler(value: Optional[str] = None) -> str:
     return value
 
 
-def resolve_engine(value: Optional[str] = None) -> str:
-    """Normalise a tick-engine choice (arg > ``REPRO_ENGINE`` > object).
+def resolve_engine() -> str:
+    """The tick engine's name; the per-object simulator is the only one.
 
-    ``object`` is the golden-reference per-object simulator; ``vector``
-    is the struct-of-arrays engine (:mod:`repro.noc.vector`), proven
-    bit-identical by the engine-parity differential contract.
+    Kept because ``perfbench/run.py`` records it in its header line.
     """
-    if not value:
-        value = os.environ.get(ENGINE_ENV, "")
-    value = (value or "object").strip().lower()
-    if value not in ENGINES:
-        raise ValueError(
-            f"unknown engine {value!r}; expected one of {ENGINES}"
-        )
-    return value
-
-
-def network_class(engine: Optional[str] = None):
-    """The :class:`Network` subclass implementing ``engine``."""
-    if resolve_engine(engine) == "vector":
-        from .vector import VectorNetwork
-
-        return VectorNetwork
-    return Network
+    return "object"
 
 
 class Network:
     """One physical NoC (mesh or concentrated mesh)."""
-
-    engine = "object"
 
     def __init__(
         self,
@@ -184,11 +161,10 @@ class Network:
         # when an NI buffer sends a head flit.  Tracers attach here; the
         # disabled path costs one attribute test per head flit.
         self.on_inject = None
-        # Optional observation hooks, fired by *every* engine: on_move
-        # for each committed crossbar traversal, on_deliver for each
-        # sink arrival (tail or not).  Tracers attach here instead of
-        # monkey-patching _commit/_deliver so the vector engine's
-        # batched commit path can honour them too.
+        # Optional observation hooks: on_move for each committed
+        # crossbar traversal, on_deliver for each sink arrival (tail or
+        # not).  Tracers attach here instead of monkey-patching
+        # _commit/_deliver; the disabled path costs one attribute test.
         self.on_move = None
         self.on_deliver = None
 
@@ -544,24 +520,6 @@ class Network:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def sync_for_inspection(self) -> None:
-        """Make router/NI *objects* reflect canonical simulator state.
-
-        The object engine is always in sync, so this is a no-op; the
-        vector engine overrides it to materialise its struct-of-arrays
-        state back onto the Router/OutputPort objects.  Auditors and
-        dump tools call this before reading object state directly.
-        """
-
-    def soa_invalidate(self) -> None:
-        """Notify the engine that structure changed behind its back.
-
-        Fault injection mutates ``failed_outputs`` / ``faults_fired`` /
-        NI wiring directly on the objects; the vector engine overrides
-        this to drop its retry memoisation so every router re-attempts
-        allocation.  No-op for the object engine.
-        """
-
     def in_flight(self) -> int:
         """Flits buffered in routers plus scheduled arrivals."""
         if self._active_scheduler:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core.grid import Grid
-from .network import Network, network_class
+from .network import Network
 from .types import Packet
 
 
@@ -23,12 +23,10 @@ def build_mesh(
     width: int,
     flit_bytes: int,
     height: int = 0,
-    engine: Optional[str] = None,
     **kwargs,
 ) -> Network:
     """A plain ``width x height`` mesh network."""
-    cls = network_class(engine)
-    return cls(name, Grid(width, height), flit_bytes, **kwargs)
+    return Network(name, Grid(width, height), flit_bytes, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,6 @@ def build_cmesh(
     base: Grid,
     flit_bytes: int,
     concentration: int = 2,
-    engine: Optional[str] = None,
     **kwargs,
 ) -> Tuple[Network, CmeshMap, Dict[Tuple[int, int], int]]:
     """Build the interposer CMesh overlay network.
@@ -92,8 +89,7 @@ def build_cmesh(
     """
     cmap = CmeshMap(base, concentration)
     kwargs.setdefault("interposer_mesh_links", True)
-    cls = network_class(engine)
-    net = cls(
+    net = Network(
         "cmesh",
         cmap.cgrid,
         flit_bytes,

@@ -37,10 +37,7 @@ class PacketTracer:
     """Records hop events for packets selected by ``watch``.
 
     The tracer attaches to the network's ``on_move`` / ``on_deliver`` /
-    ``on_inject`` observation hooks (chaining any hook already there),
-    which every engine fires — including the vector engine's batched
-    commit path, which falls back to a per-move Python loop only while
-    a hook is attached.
+    ``on_inject`` observation hooks, chaining any hook already there.
     """
 
     def __init__(

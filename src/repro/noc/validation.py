@@ -141,7 +141,6 @@ def _take_census(net: Network) -> _Census:
 # ----------------------------------------------------------------------
 def audit_network(net: Network, strict_classes: bool = True) -> AuditReport:
     """Full conservation audit of one network (empty problems = healthy)."""
-    net.sync_for_inspection()
     census = _take_census(net)
     problems: List[str] = []
     for router in net.routers:

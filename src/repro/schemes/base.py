@@ -28,7 +28,7 @@ from ..noc.loops import (
     ring_loops,
     routerless_loops,
 )
-from ..noc.network import Network, network_class, resolve_engine, resolve_scheduler
+from ..noc.network import Network, resolve_scheduler
 from ..noc.topology import CmeshEnvelope, CmeshMap, build_cmesh
 from ..noc.types import Packet, PacketType, packet_flits
 
@@ -107,18 +107,12 @@ class Fabric:
         equinox_design: Optional[EquiNoxDesign] = None,
         max_packet_flits: Optional[int] = None,
         scheduler: Optional[str] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.config = config
         self.grid = grid
         # Tick discipline shared by every network of this fabric
         # ("active" skips workless components, "dense" is the oracle).
         self.scheduler = resolve_scheduler(scheduler)
-        # Tick engine shared by every network of this fabric ("object"
-        # is the golden reference; "vector" the bit-identical SoA
-        # engine).
-        self.engine = resolve_engine(engine)
-        NetCls = network_class(self.engine)
         self.placement = tuple(placement)
         self.equinox_design = equinox_design
         self.cb_set = frozenset(placement)
@@ -140,15 +134,10 @@ class Fabric:
         # route_override.
         self.loop_states: Dict[str, LoopState] = {}
         if config.topology != "mesh":
-            if self.engine != "object":
-                raise ValueError(
-                    f"topology {config.topology!r} is only implemented by "
-                    f"the object engine (got {self.engine!r})"
-                )
             make_loops = (
                 ring_loops if config.topology == "ring" else routerless_loops
             )
-            self.request_net = NetCls(
+            self.request_net = Network(
                 "request",
                 grid,
                 config.flit_bytes,
@@ -160,7 +149,7 @@ class Fabric:
                 loops=make_loops(grid),
             )
             self._add_network(self.request_net, 1.0, "request")
-            self.reply_net = NetCls(
+            self.reply_net = Network(
                 "reply",
                 grid,
                 config.flit_bytes,
@@ -176,7 +165,7 @@ class Fabric:
             self.loop_states["reply"] = LoopState(self.reply_net)
         elif config.network_type == "single":
             vc_classes = [(0,), (1,)]
-            net = NetCls(
+            net = Network(
                 "single",
                 grid,
                 config.flit_bytes,
@@ -192,7 +181,7 @@ class Fabric:
             self.reply_net = net
             self._add_network(net, 1.0, "both")
         else:
-            self.request_net = NetCls(
+            self.request_net = Network(
                 "request",
                 grid,
                 config.flit_bytes,
@@ -204,7 +193,7 @@ class Fabric:
             )
             self._add_network(self.request_net, 1.0, "request")
             if not config.da2mesh:
-                self.reply_net = NetCls(
+                self.reply_net = Network(
                     "reply",
                     grid,
                     config.flit_bytes,
@@ -230,7 +219,7 @@ class Fabric:
             )
             narrow_eject = 2 * packet_flits(PacketType.READ_REPLY, narrow_bytes)
             for i in range(config.da2mesh_subnets):
-                subnet = NetCls(
+                subnet = Network(
                     f"reply-sub{i}",
                     grid,
                     narrow_bytes,
@@ -262,7 +251,6 @@ class Fabric:
                 routing_algorithm=config.routing,
                 vc_classes=[(0,), (1,)],
                 scheduler=self.scheduler,
-                engine=self.engine,
             )
             self._add_network(
                 self.cmesh_net, 1.0, "cmesh"

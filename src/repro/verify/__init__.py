@@ -5,10 +5,7 @@ workload, scheduler, telemetry, fault plans), runs short simulations
 with the full audit set asserted every cycle, checks bounded liveness
 and delivery accounting, and differentially checks that pure knobs
 (scheduler discipline, telemetry, armed-but-never-firing fault plans)
-never change ``stats_fingerprint``.  A dedicated engine-parity
-property runs every generated case — firing fault plans included —
-under both the object and vector tick engines and requires
-bit-identical fingerprints.  Failures shrink to a minimal case and
+never change ``stats_fingerprint``.  Failures shrink to a minimal case and
 serialize as replayable artifacts (``repro verify --replay``).
 
 See ``docs/VERIFY.md`` for the invariant catalogue and workflow.
@@ -18,7 +15,6 @@ from .artifact import (
     ARTIFACT_SCHEMA,
     KNOWN_PROPERTIES,
     PROPERTY_DIFFERENTIAL,
-    PROPERTY_ENGINE_PARITY,
     PROPERTY_INVARIANTS,
     artifact_bytes,
     artifact_filename,
@@ -32,9 +28,7 @@ from .differential import (
     DifferentialFailure,
     base_case,
     check_differential_case,
-    check_engine_parity_case,
     differential_variants,
-    engine_counterpart,
 )
 from .harness import (
     DEEP,
@@ -81,7 +75,6 @@ __all__ = [
     "KNOWN_PROPERTIES",
     "PROFILES",
     "PROPERTY_DIFFERENTIAL",
-    "PROPERTY_ENGINE_PARITY",
     "PROPERTY_INVARIANTS",
     "CaseRun",
     "DifferentialFailure",
@@ -96,10 +89,8 @@ __all__ = [
     "build_artifact",
     "cases",
     "check_differential_case",
-    "check_engine_parity_case",
     "check_invariants_case",
     "differential_variants",
-    "engine_counterpart",
     "end_state_problems",
     "fault_plans",
     "fault_specs",

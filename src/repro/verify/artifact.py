@@ -28,10 +28,7 @@ ARTIFACT_SCHEMA = 1
 #: Properties a replay can re-run, by artifact ``property`` name.
 PROPERTY_INVARIANTS = "invariants"
 PROPERTY_DIFFERENTIAL = "differential"
-PROPERTY_ENGINE_PARITY = "engine-parity"
-KNOWN_PROPERTIES = (
-    PROPERTY_INVARIANTS, PROPERTY_DIFFERENTIAL, PROPERTY_ENGINE_PARITY
-)
+KNOWN_PROPERTIES = (PROPERTY_INVARIANTS, PROPERTY_DIFFERENTIAL)
 
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 
@@ -123,10 +120,7 @@ def replay(path: Union[str, Path]) -> bool:
     stall-watchdog errors — exactly the ``FAILURE_EXCEPTIONS`` set the
     campaign records.
     """
-    from .differential import (
-        check_differential_case,
-        check_engine_parity_case,
-    )
+    from .differential import check_differential_case
     from .harness import FAILURE_EXCEPTIONS
     from .invariants import check_invariants_case
 
@@ -136,8 +130,6 @@ def replay(path: Union[str, Path]) -> bool:
     try:
         if prop == PROPERTY_INVARIANTS:
             check_invariants_case(case)
-        elif prop == PROPERTY_ENGINE_PARITY:
-            check_engine_parity_case(case)
         else:
             check_differential_case(case)
     except FAILURE_EXCEPTIONS:

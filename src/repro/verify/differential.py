@@ -19,13 +19,6 @@ snapshot):
     All three perturbations at once — catches interactions the
     pairwise checks miss.
 
-The engine-parity contract is the strongest promise of the family and
-gets its own property (:func:`check_engine_parity_case`): the
-struct-of-arrays vector engine (:mod:`repro.noc.vector`) must be
-bit-identical to the per-object golden model on the case *verbatim* —
-firing fault plans included, under either scheduler — not just on the
-fault-stripped differential baseline.
-
 A divergence raises :class:`DifferentialFailure` naming the variant,
 which the harness shrinks and serializes like any other failure.
 """
@@ -121,34 +114,3 @@ def check_differential_case(case: VerifyCase) -> str:
         )
     return base_run.stats_fingerprint
 
-
-def engine_counterpart(case: VerifyCase) -> VerifyCase:
-    """The same case on the other tick engine."""
-    other = "vector" if case.engine == "object" else "object"
-    return case.with_variant(engine=other)
-
-
-def check_engine_parity_case(case: VerifyCase) -> str:
-    """Run the case verbatim under both engines; raise on divergence.
-
-    Unlike :func:`check_differential_case` this does *not* normalize
-    through :func:`base_case`: firing fault plans, telemetry sampling
-    and the generated scheduler all stay in place, because the vector
-    engine claims equivalence on the full config space, not just the
-    pure-knob baseline.  Returns the fingerprint both engines agree on.
-    """
-    base_run = run_case(case, validate_every=0)
-    if len(get_spec(case.scheme).engines) < 2:
-        # Object-only schemes have no counterpart engine: the parity
-        # property holds vacuously, but the base run still exercised
-        # the case (liveness, accounting, watchdog).
-        return base_run.stats_fingerprint
-    twin = engine_counterpart(case)
-    twin_run = run_case(twin, validate_every=0)
-    if twin_run.stats_fingerprint != base_run.stats_fingerprint:
-        raise DifferentialFailure(
-            case,
-            base_run.stats_fingerprint,
-            [(f"engine={twin.engine}", twin_run.stats_fingerprint)],
-        )
-    return base_run.stats_fingerprint

@@ -2,9 +2,9 @@
 
 Two profiles ship:
 
-* ``fast`` — the tier-1 profile: small meshes, ~270 generated configs
-  across three properties (invariants, differential purity, object vs
-  vector engine parity), finishes in a couple of minutes.  A pytest
+* ``fast`` — the tier-1 profile: small meshes, ~210 generated configs
+  across two properties (invariants, differential purity), finishes in
+  a couple of minutes.  A pytest
   wrapper runs it in the normal test suite, so every CI matrix entry
   fuzzes.
 * ``deep`` — the dedicated CI-job profile: wider meshes (including the
@@ -33,7 +33,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from . import artifact as artifact_mod
 from ..gpu.system import SimulationStall
 from ..noc.validation import NetworkAuditError
-from .differential import check_differential_case, check_engine_parity_case
+from .differential import check_differential_case
 from .invariants import check_invariants_case
 from .space import VerifyCase
 from .strategies import DEEP_WIDTHS, FAST_WIDTHS, cases
@@ -54,32 +54,25 @@ class VerifyProfile:
     name: str
     invariant_examples: int
     differential_examples: int
-    engine_examples: int
     widths: Tuple[int, ...]
     # 0 keeps the VerifyCase default cycle bound.
     max_cycles: int = 0
 
     @property
     def total_examples(self) -> int:
-        return (
-            self.invariant_examples
-            + self.differential_examples
-            + self.engine_examples
-        )
+        return self.invariant_examples + self.differential_examples
 
 
 FAST = VerifyProfile(
     name="fast",
     invariant_examples=130,
     differential_examples=80,
-    engine_examples=60,
     widths=FAST_WIDTHS,
 )
 DEEP = VerifyProfile(
     name="deep",
     invariant_examples=320,
     differential_examples=160,
-    engine_examples=120,
     widths=DEEP_WIDTHS,
 )
 PROFILES: Dict[str, VerifyProfile] = {p.name: p for p in (FAST, DEEP)}
@@ -244,20 +237,6 @@ def run_profile(
                 max_cycles=profile.max_cycles,
             ),
             profile.differential_examples,
-        ),
-        (
-            artifact_mod.PROPERTY_ENGINE_PARITY,
-            check_engine_parity_case,
-            # Faults stay ON: the engine-parity contract covers firing
-            # fault plans, not just the fault-stripped differential
-            # baseline.
-            cases(
-                widths=profile.widths,
-                base_seed=seed + 1,
-                with_faults=True,
-                max_cycles=profile.max_cycles,
-            ),
-            profile.engine_examples,
         ),
     ]
     for prop, check, strategy, budget in plan:

@@ -48,7 +48,6 @@ HERMETIC_ENV = (
     "REPRO_WATCHDOG_CYCLES",
     "REPRO_TELEMETRY",
     "REPRO_SCHEDULER",
-    "REPRO_ENGINE",
     "REPRO_CELL_TIMEOUT",
     "REPRO_RETRIES",
 )

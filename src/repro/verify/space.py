@@ -48,10 +48,6 @@ class VerifyCase:
     quota: int
     seed: int
     scheduler: str = "active"
-    # Tick engine: "object" (per-object golden reference) or "vector"
-    # (struct-of-arrays batched tick).  Both must produce bit-identical
-    # stats fingerprints; the engine-parity property enforces it.
-    engine: str = "object"
     # Telemetry sampling interval in base cycles (0 = off).  Passed to
     # the registry verbatim (1 really means every cycle here).
     telemetry: int = 0
@@ -73,11 +69,6 @@ class VerifyCase:
             raise ValueError(
                 f"scheme {self.scheme!r} does not support fault plans"
             )
-        if self.engine not in spec.engines:
-            raise ValueError(
-                f"scheme {self.scheme!r} is not implemented by the "
-                f"{self.engine!r} engine (supported: {spec.engines})"
-            )
         if self.benchmark not in BY_NAME:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if self.width < 3:
@@ -92,8 +83,6 @@ class VerifyCase:
             raise ValueError("quota must be >= 1")
         if self.scheduler not in ("active", "dense"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
-        if self.engine not in ("object", "vector"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.telemetry < 0:
             raise ValueError("telemetry interval must be >= 0")
         if self.max_cycles < 100:
@@ -120,7 +109,6 @@ class VerifyCase:
             watchdog_cycles=self.watchdog_cycles,
             faults=self.faults,
             scheduler=self.scheduler,
-            engine=self.engine,
         )
 
     def label(self) -> str:
@@ -133,8 +121,6 @@ class VerifyCase:
             f"seed={self.seed}",
             self.scheduler,
         ]
-        if self.engine != "object":
-            bits.append(self.engine)
         if self.telemetry:
             bits.append(f"telemetry={self.telemetry}")
         if self.faults:
@@ -162,7 +148,7 @@ class VerifyCase:
             "scheme", "benchmark", "width", "num_cbs", "quota", "seed",
         }
         optional = {
-            "scheduler", "engine", "telemetry", "max_cycles",
+            "scheduler", "telemetry", "max_cycles",
             "watchdog_cycles", "mcts_iterations",
         }
         unknown = set(payload) - required - optional

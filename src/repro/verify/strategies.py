@@ -174,9 +174,6 @@ def _cases(
         quota=draw(st.integers(2, 10)),
         seed=(draw(st.integers(0, 2**16 - 1)) + base_seed) % 2**20,
         scheduler=draw(st.sampled_from(["active", "dense"])),
-        # Only engines that actually implement the scheme (loop
-        # topologies are object-only).
-        engine=draw(st.sampled_from(list(spec.engines))),
         telemetry=draw(st.sampled_from([0, 0, 1, 3])),
         **kwargs,
     )

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence
 
 from ..core.grid import Grid
 from ..noc.interface import NetworkInterface
-from ..noc.network import Network, network_class
+from ..noc.network import Network
 from ..noc.types import Packet, PacketType, packet_flits
 
 
@@ -88,8 +88,7 @@ def _run(
 def _fresh_network(grid: Grid, **kwargs) -> Dict:
     kwargs.setdefault("flit_bytes", 16)
     kwargs.setdefault("vc_classes", [(0,), (1,)])
-    cls = network_class(kwargs.pop("engine", None))
-    network = cls("synthetic", grid, **kwargs)
+    network = Network("synthetic", grid, **kwargs)
     nis = {node: NetworkInterface(network, node) for node in grid.nodes()}
     return {"network": network, "nis": nis}
 

@@ -47,12 +47,7 @@ class TestConfigs:
     def test_capability_flags(self):
         for name in SCHEME_ORDER:
             spec = get_spec(name)
-            if name in LOOP_SCHEMES:
-                assert not spec.supports_faults
-                assert spec.engines == ("object",)
-            else:
-                assert spec.supports_faults
-                assert spec.engines == ("object", "vector")
+            assert spec.supports_faults == (name not in LOOP_SCHEMES)
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ValueError):
@@ -309,7 +304,7 @@ class TestLoopSchemes:
             run_experiment(scheme, "kmeans", cfg)
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
-    def test_verify_case_rejects_faults_and_vector_engine(self, scheme):
+    def test_verify_case_rejects_faults(self, scheme):
         from repro.noc.faults import FaultSpec
         from repro.verify.space import VerifyCase
 
@@ -317,7 +312,7 @@ class TestLoopSchemes:
             scheme=scheme, benchmark="kmeans", width=4, num_cbs=3,
             quota=4, seed=0,
         )
-        VerifyCase(**base)  # valid: object engine, no faults
+        VerifyCase(**base)  # valid: no faults
         with pytest.raises(ValueError, match="fault"):
             VerifyCase(
                 faults=(
@@ -327,16 +322,6 @@ class TestLoopSchemes:
                 ),
                 **base,
             )
-        with pytest.raises(ValueError, match="engine"):
-            VerifyCase(engine="vector", **base)
-
-    @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
-    def test_vector_engine_rejected_by_fabric(self, scheme):
-        cfg = ExperimentConfig(
-            width=4, num_cbs=3, quota=4, engine="vector"
-        )
-        with pytest.raises(ValueError, match="object engine"):
-            build_fabric(scheme, cfg)
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
     def test_scheduler_differential(self, scheme):
@@ -359,7 +344,7 @@ class TestLoopSchemes:
 
 
 class TestLoopDeterminism:
-    """Object-engine determinism across serial / parallel / cache-warm
+    """Determinism across serial / parallel / cache-warm
     sweeps for the loop baselines (mirrors TestDeterminism in
     test_runner.py, which covers the mesh schemes)."""
 

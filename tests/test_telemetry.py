@@ -8,8 +8,8 @@ The load-bearing contracts:
   one sweep produce byte-identical JSONL artifacts;
 * the disabled path is (near) free — the harness carries ``None`` and
   ``NullTelemetry`` records nothing;
-* ``compare_bench`` fails on checksum drift and throughput collapse,
-  and only on those.
+* ``compare_bench`` fails on checksum drift, throughput collapse and
+  dense/active checksum divergence, and only on those.
 """
 
 import json
@@ -17,11 +17,11 @@ import json
 import pytest
 
 from repro.harness.bench import (
-    checksum_divergence,
     compare_bench,
     format_bench,
     load_bench,
     run_scenario,
+    scheduler_violations,
     write_bench,
 )
 from repro.harness.experiment import (
@@ -358,44 +358,29 @@ class TestBenchGate:
         assert "UNCALIBRATED" in violations[0]
         assert "baseline" in violations[0]
 
-    def test_engine_checksum_divergence_fails_gate(self):
-        from repro.harness.bench import engine_violations
-
-        rows = {
-            "synthetic": {"checksum": "aaa", "cycles_per_s": 100.0},
-            "synthetic_vector": {"checksum": "aaa",
-                                 "cycles_per_s": 400.0},
-        }
-        assert engine_violations(rows) == []
-        rows["synthetic_vector"]["checksum"] = "bbb"
-        violations = engine_violations(rows)
+    def test_scheduler_divergence_fails_gate(self):
+        current = dict(_bench_payload(1000.0),
+                       dense_scenarios=_bench_payload(900.0)["scenarios"])
+        assert scheduler_violations(current) == []
+        # a single-scheduler run has no dense rows to compare
+        assert scheduler_violations(_bench_payload(1000.0)) == []
+        current["dense_scenarios"]["synthetic"]["checksum"] = "bbb"
+        violations = scheduler_violations(current)
         assert len(violations) == 1
-        assert "engine-parity" in violations[0]
+        assert "dense/active checksum divergence" in violations[0]
         # compare_bench surfaces the same divergence
-        current = dict(_bench_payload(1000.0), scenarios=rows)
-        base = _bench_payload(1000.0, checksum="aaa")
-        assert any("engine-parity" in v
-                   for v in compare_bench(current, base, 0.25))
+        assert compare_bench(current, _bench_payload(1000.0), 0.25) \
+            == violations
 
-    def test_engine_speedup_floor(self):
-        from repro.harness.bench import engine_violations
-
-        rows = {
-            "synthetic": {"checksum": "aaa", "cycles_per_s": 100.0},
-            "synthetic_vector": {"checksum": "aaa",
-                                 "cycles_per_s": 250.0},
-        }
-        violations = engine_violations(rows, min_speedup=3.0)
-        assert len(violations) == 1
-        assert "below the 3.0x floor" in violations[0]
-        assert engine_violations(rows, min_speedup=2.0) == []
-
-    def test_checksum_divergence_helper(self):
-        rows = {"dense": {"checksum": "a"}, "active": {"checksum": "a"}}
-        assert checksum_divergence(rows) is None
-        rows["active"] = {"checksum": "b"}
-        assert checksum_divergence(rows) == ("a", "b")
-        assert checksum_divergence({"dense": {"checksum": "a"}}) is None
+    def test_tolerance_outside_unit_interval_rejected(self):
+        # A NaN or >= 1 tolerance used to pass a 100x slower run.
+        base = _bench_payload(1000.0)
+        slow = _bench_payload(10.0)
+        for bad in (float("nan"), float("inf"), 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="tolerance"):
+                compare_bench(slow, base, bad)
+        assert len(compare_bench(slow, base, 0.25)) == 1
+        assert len(compare_bench(slow, base, 0.0)) == 1
 
     def test_write_load_format_round_trip(self, tmp_path):
         data = _bench_payload(1000.0)
@@ -415,6 +400,11 @@ class TestBenchScenarios:
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             run_scenario("nope")
+
+    def test_zero_repeat_raises(self):
+        # Used to crash with AttributeError on a None result.
+        with pytest.raises(ValueError, match="repeat"):
+            run_scenario("low_load", repeat=0)
 
     def test_scenario_checksum_scheduler_invariant(self):
         dense = run_scenario("low_load", repeat=1, scheduler="dense")
@@ -447,6 +437,43 @@ class TestCli:
                      "--baseline", str(out)]) == 1
         err = capsys.readouterr().err
         assert "checksum changed" in err
+
+    def test_bench_cli_scheduler_both(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.harness import bench
+
+        out = tmp_path / "BENCH.json"
+        assert main(["bench", "--repeat", "1", "--scheduler", "both",
+                     "--scenarios", "low_load",
+                     "--output", str(out)]) == 0
+        data = load_bench(out)
+        assert data["scenarios"]["low_load"]["checksum"] \
+            == data["dense_scenarios"]["low_load"]["checksum"]
+        assert "active/dense speedup" in capsys.readouterr().out
+
+        # a dense/active divergence exits 1 without any --baseline
+        def skewed(name, repeat, scheduler):
+            return {"cycles": 10, "seconds": 1.0, "cycles_per_s": 10.0,
+                    "checksum": scheduler, "received": 1}
+
+        monkeypatch.setattr(bench, "run_scenario", skewed)
+        assert main(["bench", "--repeat", "1", "--scheduler", "both",
+                     "--scenarios", "low_load",
+                     "--output", str(out)]) == 1
+        assert "dense/active checksum divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--repeat", "0"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "1.5"],
+    ])
+    def test_bench_cli_rejects_bad_numbers(self, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--output", str(tmp_path / "B.json")] + argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "B.json").exists()
 
     def test_run_cli_writes_telemetry_artifact(self, tmp_path, capsys):
         from repro.cli import main

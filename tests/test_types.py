@@ -72,3 +72,23 @@ class TestPacket:
             _ = p.latency
         p.delivered = 25
         assert p.latency == 15
+
+
+class TestSlots:
+    def test_hot_classes_have_no_instance_dict(self):
+        # The tick loop allocates or touches these millions of times;
+        # __slots__ drops the per-instance __dict__ (~104 bytes each).
+        from repro.mem.hbm import MemoryAccess
+        from repro.noc.stats import LatencyAccumulator
+        from repro.noc.types import Flit
+        from repro.workloads.generator import GeneratedRequest
+
+        packet = Packet(1, PacketType.READ_REQUEST, 0, 1, 1, 0)
+        for obj in (
+            packet,
+            Flit(packet, 0, True, True),
+            GeneratedRequest(True, 0, True),
+            MemoryAccess(None, True, True, 0),
+            LatencyAccumulator(),
+        ):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -18,7 +18,6 @@ from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.noc.validation import NetworkAuditError
 from repro.verify import (
     PROPERTY_DIFFERENTIAL,
-    PROPERTY_ENGINE_PARITY,
     PROPERTY_INVARIANTS,
     VerifyCase,
     VerifyFailure,
@@ -27,10 +26,8 @@ from repro.verify import (
     base_case,
     build_artifact,
     check_differential_case,
-    check_engine_parity_case,
     check_invariants_case,
     differential_variants,
-    engine_counterpart,
     hermetic_env,
     load_artifact,
     replay,
@@ -71,7 +68,6 @@ class TestVerifyCase:
         for variant in (
             case.with_variant(seed=8),
             case.with_variant(scheduler="dense"),
-            case.with_variant(engine="vector"),
             case.with_variant(telemetry=2),
             case.with_variant(quota=4),
         ):
@@ -199,42 +195,6 @@ class TestDrivers:
     def test_differential_passes_on_known_good_case(self):
         fp = check_differential_case(VerifyCase(**QUICK))
         assert len(fp) == 64
-
-    def test_engine_parity_keeps_firing_faults(self):
-        # Unlike the differential baseline, the parity check runs the
-        # case verbatim: a firing fault plan must survive into both
-        # engine runs and the fingerprints must still agree.
-        case = VerifyCase(
-            faults=(FaultSpec(kind="mesh_link", node=0, peer=1,
-                              at_cycle=40, heal_cycle=90),),
-            **QUICK,
-        )
-        assert case.faulted
-        twin = engine_counterpart(case)
-        assert twin.engine == "vector"
-        assert twin.faults == case.faults
-        assert engine_counterpart(twin).engine == "object"
-        fp = check_engine_parity_case(case)
-        assert len(fp) == 64
-
-    def test_engine_parity_detects_divergence(self, monkeypatch):
-        # Force the twin run to report a different fingerprint: the
-        # property must raise a shrinkable DifferentialFailure naming
-        # the engine, not pass silently.
-        from repro.verify import differential as diff_mod
-        from repro.verify.differential import DifferentialFailure
-
-        real = diff_mod.run_case
-
-        def skewed(case, validate_every=0):
-            run = real(case, validate_every=validate_every)
-            if case.engine == "vector":
-                object.__setattr__(run, "stats_fingerprint", "f" * 64)
-            return run
-
-        monkeypatch.setattr(diff_mod, "run_case", skewed)
-        with pytest.raises(DifferentialFailure, match="engine=vector"):
-            check_engine_parity_case(VerifyCase(**QUICK))
 
     def test_hermetic_env_blocks_leaking_knobs(self, monkeypatch):
         case = VerifyCase(**QUICK)
@@ -456,7 +416,7 @@ class TestCli:
 
         mini = VerifyProfile(
             name="fast", invariant_examples=3,
-            differential_examples=2, engine_examples=2, widths=(4,),
+            differential_examples=2, widths=(4,),
         )
         monkeypatch.setitem(harness_mod.PROFILES, "fast", mini)
         from repro.cli import main
