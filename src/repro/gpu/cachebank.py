@@ -58,11 +58,21 @@ class CacheBank:
         self.stall_cycles = 0  # cycles a request waited because we were full
 
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        self._release_injected()
-        self._accept_requests(cycle)
-        self._collect_memory(cycle)
-        self._emit_replies(cycle)
+    def tick(self, cycle: int, request_pending: bool = True) -> None:
+        """One cycle.  ``request_pending=False`` promises that no request
+        is delivered here (see ``Fabric.pending_requests``), so the
+        request poll, which would miss and change nothing, is skipped.
+        Each step is guarded by the cheap test that makes it a no-op."""
+        if self._in_flight:
+            self._release_injected()
+        if request_pending or self.occupancy >= self.capacity:
+            self._accept_requests(cycle)
+        for access in self.memory.tick(cycle):
+            if isinstance(access.token, Transaction):
+                self._schedule_ready(cycle, access.token)
+            # Posted writebacks complete silently.
+        if self._ready and self._ready[0][0] <= cycle:
+            self._emit_replies(cycle)
 
     # ------------------------------------------------------------------
     def _accept_requests(self, cycle: int) -> None:
@@ -106,12 +116,6 @@ class CacheBank:
         self._seq += 1
         heapq.heappush(self._ready, (ready_cycle, self._seq, transaction))
 
-    def _collect_memory(self, cycle: int) -> None:
-        for access in self.memory.tick(cycle):
-            if isinstance(access.token, Transaction):
-                self._schedule_ready(cycle, access.token)
-            # Posted writebacks complete silently.
-
     def _emit_replies(self, cycle: int) -> None:
         while self._ready and self._ready[0][0] <= cycle:
             _, _, transaction = heapq.heappop(self._ready)
@@ -128,8 +132,6 @@ class CacheBank:
 
     def _release_injected(self) -> None:
         """Free buffer slots of replies that have started injecting."""
-        if not self._in_flight:
-            return
         keep = []
         for transaction, packet in self._in_flight:
             if packet.injected is not None:

@@ -246,6 +246,10 @@ class System:
         fast_forward = self.fabric.scheduler == "active"
         telemetry = self.telemetry
         t_interval = telemetry.interval if telemetry is not None else 0
+        fabric = self.fabric
+        # A PE becomes done only by receiving a reply (issuing adds an
+        # outstanding reply), so termination is re-checked only then.
+        check_done = True
         while self.cycle < cfg.max_cycles:
             self.cycle += 1
             cycle = self.cycle
@@ -253,28 +257,38 @@ class System:
             #    invariant holds when faults are applied or healed.
             if injector is not None:
                 injector.on_cycle(cycle)
-            # 1. PEs issue new requests and absorb replies.
+            # 1. PEs issue new requests and absorb replies.  Replies are
+            #    polled only at tiles holding a delivered packet: a miss
+            #    changes no state, and nothing is delivered until step 2.
+            replies = fabric.pending_replies()
             for pe in pes:
-                transaction = pe.try_issue(cycle, tid + 1, cb_nodes)
-                if transaction is not None:
-                    tid += 1
-                    self.transactions.append(transaction)
-                    self.fabric.send_request(
-                        transaction.pe,
-                        transaction.cb,
-                        ProcessingElement.request_type(transaction),
-                        transaction,
-                    )
-                while True:
-                    reply = self.fabric.pop_reply(pe.node)
-                    if reply is None:
-                        break
-                    pe.receive_reply(reply, cycle)
+                # A PE with no quota left never issues (try_issue would
+                # return None without touching any state).
+                if pe.remaining > 0:
+                    transaction = pe.try_issue(cycle, tid + 1, cb_nodes)
+                    if transaction is not None:
+                        tid += 1
+                        self.transactions.append(transaction)
+                        fabric.send_request(
+                            transaction.pe,
+                            transaction.cb,
+                            ProcessingElement.request_type(transaction),
+                            transaction,
+                        )
+                if replies and pe.node in replies:
+                    while True:
+                        reply = fabric.pop_reply(pe.node)
+                        if reply is None:
+                            break
+                        pe.receive_reply(reply, cycle)
+                        check_done = True
             # 2. Networks move flits.
-            self.fabric.tick()
-            # 3. CBs accept requests, talk to memory, emit replies.
+            fabric.tick()
+            # 3. CBs accept requests (where one was delivered), talk to
+            #    memory, emit replies.
+            requests = fabric.pending_requests()
             for bank in banks:
-                bank.tick(cycle)
+                bank.tick(cycle, bank.node in requests)
             # 3.5 Telemetry sampling (read-only, interval-gated).
             if telemetry is not None and cycle % t_interval == 0:
                 telemetry.sample(cycle)
@@ -282,9 +296,11 @@ class System:
             if validator is not None:
                 validator.on_cycle(cycle)
             # 5. Termination and watchdog.
-            if all(pe.done for pe in pes):
-                break
-            progress = self.fabric.last_progress()
+            if check_done:
+                if all(pe.done for pe in pes):
+                    break
+                check_done = False
+            progress = fabric.last_progress()
             if progress > last_progress_seen:
                 last_progress_seen = progress
             elif cycle - last_progress_seen > watchdog_window:
@@ -314,7 +330,7 @@ class System:
                 if skip > 0:
                     self.cycle += skip
                     self.fast_forwarded_cycles += skip
-                    self.fabric.fast_forward(skip)
+                    fabric.fast_forward(skip)
                     for pe in pes:
                         pe.fast_forward(skip)
                     for bank in banks:

@@ -39,16 +39,19 @@ class MemoryController:
 
     def tick(self, cycle: int) -> List[MemoryAccess]:
         """Advance one cycle; return accesses whose data is back at the CB."""
-        still_waiting = []
-        for access in self._inbound:
-            if access.complete_cycle <= cycle:
-                self.stack.submit(access)
-            else:
-                still_waiting.append(access)
-        self._inbound = still_waiting
+        if self._inbound:
+            still_waiting = []
+            for access in self._inbound:
+                if access.complete_cycle <= cycle:
+                    self.stack.submit(access)
+                else:
+                    still_waiting.append(access)
+            self._inbound = still_waiting
         for access in self.stack.tick(cycle):
             access.complete_cycle = cycle + self.pipeline
             self._outbound.append(access)
+        if not self._outbound:
+            return []
         done = [a for a in self._outbound if a.complete_cycle <= cycle]
         if done:
             self._outbound = [

@@ -93,6 +93,7 @@ class HbmStack:
         self._completions: List[Tuple[float, int, MemoryAccess]] = []
         self._seq = 0
         self._rr = 0
+        self._queued = 0  # accesses across all channel queues
         # Aggregate stats.
         self.reads = 0
         self.writes = 0
@@ -105,6 +106,7 @@ class HbmStack:
         access.channel = self._rr
         self._rr = (self._rr + 1) % self.timing.channels
         self._queues[access.channel].append(access)
+        self._queued += 1
         if access.is_read:
             self.reads += 1
         else:
@@ -115,24 +117,26 @@ class HbmStack:
     def tick(self, cycle: int) -> List[MemoryAccess]:
         """Advance one core cycle; return accesses completing now."""
         timing = self.timing
-        for ch, queue in enumerate(self._queues):
-            if not queue or self._bus_free[ch] > cycle:
-                continue
-            # FR-FCFS within the scheduler window: first ready row hit,
-            # else the oldest request.
-            window = queue[: timing.queue_depth]
-            pick = next((a for a in window if a.row_hit), window[0])
-            queue.remove(pick)
-            access_latency = timing.t_cas if pick.row_hit else timing.t_row_miss
-            transfer = timing.transfer_cycles
-            start = max(self._bus_free[ch], float(cycle))
-            pick.complete_cycle = start + access_latency + transfer
-            self._bus_free[ch] = start + transfer
-            self.busy_cycles += transfer
-            self._seq += 1
-            heapq.heappush(
-                self._completions, (pick.complete_cycle, self._seq, pick)
-            )
+        if self._queued:  # else every channel queue is empty
+            for ch, queue in enumerate(self._queues):
+                if not queue or self._bus_free[ch] > cycle:
+                    continue
+                # FR-FCFS within the scheduler window: first ready row hit,
+                # else the oldest request.
+                window = queue[: timing.queue_depth]
+                pick = next((a for a in window if a.row_hit), window[0])
+                queue.remove(pick)
+                self._queued -= 1
+                access_latency = timing.t_cas if pick.row_hit else timing.t_row_miss
+                transfer = timing.transfer_cycles
+                start = max(self._bus_free[ch], float(cycle))
+                pick.complete_cycle = start + access_latency + transfer
+                self._bus_free[ch] = start + transfer
+                self.busy_cycles += transfer
+                self._seq += 1
+                heapq.heappush(
+                    self._completions, (pick.complete_cycle, self._seq, pick)
+                )
         done: List[MemoryAccess] = []
         while self._completions and self._completions[0][0] <= cycle:
             done.append(heapq.heappop(self._completions)[2])

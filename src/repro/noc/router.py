@@ -75,9 +75,6 @@ class OutputPort:
         """VCs in ``allowed`` that are unowned and have buffer space."""
         return [v for v in allowed if self.owner[v] is None and self.credits[v] > 0]
 
-    def total_credits(self, allowed: Sequence[int]) -> int:
-        return sum(self.credits[v] for v in allowed)
-
 
 class Router:
     """One mesh router; owned and ticked by a :class:`~repro.noc.network.Network`."""
@@ -228,6 +225,11 @@ class Router:
     # Flit intake (called by the network when a link delivers)
     # ------------------------------------------------------------------
     def accept(self, port: int, vc: int, flit: Flit, cycle: int) -> None:
+        """Buffer one arriving flit at input ``(port, vc)``.
+
+        ``Network.tick`` inlines this body in its arrival loop; keep the
+        two in step.
+        """
         flit.buffered_at = cycle
         self.inputs[port][vc].queue.append(flit)
         self.flit_count += 1
@@ -239,10 +241,15 @@ class Router:
     # One cycle
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> List[Tuple[int, int, int, int, Flit]]:
-        """Arbitrate and return winning moves.
+        """Arbitrate, commit the winners, and return them as moves.
 
-        Each move is ``(in_port, in_vc, out_port, out_vc, flit)``; the
-        network commits them (link scheduling, credits, statistics).
+        Each move is ``(in_port, in_vc, out_port, out_vc, flit)``.  The
+        router commits its own moves: each winning flit is scheduled
+        onto its downstream link (or into the ejection sink) and its
+        input-VC credit onto the upstream link, both for the next
+        cycle, directly in the network's event lists; ``on_move`` fires
+        once per move in arbitration order, and the event counters are
+        added once per tick.
 
         Round-robin pointers (``rr_in`` per input port, ``out.rr`` per
         output) advance lazily — only when an arbitration is actually
@@ -255,7 +262,6 @@ class Router:
         inputs = self.inputs
         outputs = self.outputs
         rr_in = self.rr_in
-        num_vcs = self.num_vcs
         port_flits = self.port_flits
         vc_orders = self._vc_orders
         for port in self.input_ports:
@@ -266,20 +272,24 @@ class Router:
                 ivc = vcs[vc]
                 if not ivc.queue:
                     continue
-                flit = ivc.queue[0]
-                if flit.is_head and ivc.out_port is None:
+                out_port = ivc.out_port
+                if out_port is None:
+                    flit = ivc.queue[0]
+                    if not flit.is_head:
+                        continue
                     self._route_and_allocate(port, vc, ivc, flit)
-                if ivc.out_port is None:
-                    continue
-                out = outputs[ivc.out_port]
-                if out.credits[ivc.out_vc] <= 0:
-                    continue
-                requests.append((port, vc, ivc.out_port, ivc.out_vc))
-                break
+                    out_port = ivc.out_port
+                    if out_port is None:
+                        continue
+                out_vc = ivc.out_vc
+                if outputs[out_port].credits[out_vc] > 0:
+                    requests.append((port, vc, out_port, out_vc))
+                    break
         if not requests:
             return requests
 
         # --- Per-output-port arbitration ------------------------------
+        rr_mod = self.rr_mod
         if len(requests) == 1:
             winners = requests
         else:
@@ -287,7 +297,6 @@ class Router:
             for req in requests:
                 by_output.setdefault(req[2], []).append(req)
             winners = []
-            rr_mod = self.rr_mod
             for out_port, reqs in by_output.items():
                 if len(reqs) == 1:
                     winners.append(reqs[0])
@@ -296,21 +305,71 @@ class Router:
                     winners.append(
                         min(reqs, key=lambda r: (r[0] - rr) % rr_mod)
                     )
+
+        # --- Commit: traverse the crossbar, schedule flits + credits --
+        net = self.network
+        nxt = cycle + 1
+        arrivals = net._arrivals.get(nxt)
+        if arrivals is None:
+            arrivals = net._arrivals[nxt] = []
+        credits = None  # fetched on the first credit (never left empty)
+        upstream = net.upstream
+        neighbors = self.neighbors
+        on_move = net.on_move
+        node = self.node
+        num_vcs = self.num_vcs
+        residence = 0
+        hops = 0
         moves: List[Tuple[int, int, int, int, Flit]] = []
         for in_port, in_vc, out_port, out_vc in winners:
             out = outputs[out_port]
             ivc = inputs[in_port][in_vc]
             flit = ivc.queue.popleft()
-            self.flit_count -= 1
             port_flits[in_port] -= 1
             out.credits[out_vc] -= 1
-            out.rr = (in_port + 1) % self.rr_mod
+            out.rr = (in_port + 1) % rr_mod
             rr_in[in_port] = (in_vc + 1) % num_vcs
             if flit.is_tail:
                 out.owner[out_vc] = None
                 ivc.out_port = None
                 ivc.out_vc = None
+            if on_move is not None:
+                on_move(node, in_port, in_vc, out_port, out_vc, flit, cycle)
+            # A traversal occupies the router for at least one cycle;
+            # waits in the input buffer add on top (the Figure-4 heat
+            # metric).
+            residence += cycle - flit.buffered_at + 1
+            up = upstream.get((node, in_port))
+            if up is not None:
+                if credits is None:
+                    credits = net._credits.get(nxt)
+                    if credits is None:
+                        credits = net._credits[nxt] = []
+                credits.append((up, in_vc))
+            link = neighbors.get(out_port)
+            if link is not None:
+                arrivals.append((link[0], link[1], out_vc, flit))
+                hops += 1
+            else:  # ejection: a negative port names the sink
+                arrivals.append((node, -out_port - 1, 0, flit))
+                flit.packet.eject_port = out
             moves.append((in_port, in_vc, out_port, out_vc, flit))
+        count = len(moves)
+        self.flit_count -= count
+        stats = net.stats
+        stats.buffer_reads += count
+        stats.xbar_traversals += count
+        stats.residence_cycles[node] += residence
+        stats.residence_count[node] += count
+        if hops:
+            if net.interposer_mesh_links:
+                stats.link_hops_interposer += hops
+                stats.interposer_hop_length += float(hops)
+            else:
+                stats.link_hops_onchip += hops
+        if count != hops:
+            stats.flits_ejected += count - hops
+        net.last_progress = cycle
         return moves
 
     # ------------------------------------------------------------------
@@ -410,21 +469,40 @@ class Router:
         packet: "object",
         exclude: int = -1,
     ) -> Optional[Tuple[int, int, int]]:
-        """Best allocatable ``(credits, out_port, out_vc)`` among ``ports``."""
+        """Best allocatable ``(credits, out_port, out_vc)`` among ``ports``.
+
+        Minimal adaptive: prefer the output with the most credits over
+        ``allowed``; within a port, the first free VC with the most
+        credits.
+        """
         failed = self.failed_outputs
+        neighbors = self.neighbors
+        outputs = self.outputs
         best: Optional[Tuple[int, int, int]] = None
         for out_port in ports:
             if out_port == routing.PORT_EJECT:
                 continue  # dst != node here; ejection handled separately
             if out_port == exclude:
                 continue
-            if out_port not in self.neighbors:
+            if out_port not in neighbors:
                 continue
             if failed and out_port in failed:
                 continue
-            out = self.outputs[out_port]
-            free = out.free_vcs(allowed)
-            if not free and borrowable:
+            out = outputs[out_port]
+            credits = out.credits
+            owner = out.owner
+            out_vc = -1
+            most = 0
+            total = 0
+            for v in allowed:
+                c = credits[v]
+                total += c
+                if c > most and owner[v] is None:
+                    out_vc = v
+                    most = c
+            if out_vc < 0:
+                if not borrowable:
+                    continue
                 # VC monopolisation: borrow a foreign VC, but only when
                 # its buffer is completely empty and the whole packet
                 # fits, so the borrower fully vacates its own-class
@@ -433,15 +511,12 @@ class Router:
                 free = [
                     v
                     for v in out.free_vcs(borrowable)
-                    if out.credits[v] == out.capacity
+                    if credits[v] == out.capacity
                     and out.capacity >= packet.size
                 ]
-            if not free:
-                continue
-            # Minimal adaptive: prefer the output with the most credits;
-            # within a port, the free VC with the most credits.
-            out_vc = max(free, key=lambda v: out.credits[v])
-            total = out.total_credits(allowed)
+                if not free:
+                    continue
+                out_vc = max(free, key=lambda v: credits[v])
             if best is None or total > best[0]:
                 best = (total, out_port, out_vc)
         return best

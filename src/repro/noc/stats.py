@@ -100,9 +100,10 @@ class NetworkStats:
         self.flits_dropped = 0
         self.flits_reclaimed = 0
         self.packets_recovered = 0
-        # Heat map: per-router flit residence.
-        self.residence_cycles = np.zeros(num_nodes, dtype=np.int64)
-        self.residence_count = np.zeros(num_nodes, dtype=np.int64)
+        # Heat map: per-router flit residence.  Plain int lists, since
+        # routers add to them every tick; heatmap() builds the arrays.
+        self.residence_cycles: List[int] = [0] * num_nodes
+        self.residence_count: List[int] = [0] * num_nodes
         # Latency per packet type.
         self.latency: Dict[PacketType, LatencyAccumulator] = {
             t: LatencyAccumulator() for t in PacketType
@@ -113,6 +114,8 @@ class NetworkStats:
     # Recording
     # ------------------------------------------------------------------
     def record_move(self, node: int, residence: int) -> None:
+        """Count one crossbar traversal (Router.tick adds its moves in
+        bulk, straight into these counters)."""
         self.buffer_reads += 1
         self.xbar_traversals += 1
         self.residence_cycles[node] += residence
@@ -128,13 +131,9 @@ class NetworkStats:
     # ------------------------------------------------------------------
     def heatmap(self) -> np.ndarray:
         """Average flit residence cycles per router (Figure 4)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(
-                self.residence_count > 0,
-                self.residence_cycles / np.maximum(self.residence_count, 1),
-                0.0,
-            )
-        return mean
+        cycles = np.array(self.residence_cycles, dtype=np.int64)
+        count = np.array(self.residence_count, dtype=np.int64)
+        return np.where(count > 0, cycles / np.maximum(count, 1), 0.0)
 
     def heatmap_variance(self) -> float:
         """Variance of the per-router residence averages (Figure 4)."""
@@ -183,8 +182,8 @@ class NetworkStats:
             "flits_dropped": self.flits_dropped,
             "flits_reclaimed": self.flits_reclaimed,
             "packets_recovered": self.packets_recovered,
-            "residence_cycles": self.residence_cycles.tolist(),
-            "residence_count": self.residence_count.tolist(),
+            "residence_cycles": list(self.residence_cycles),
+            "residence_count": list(self.residence_count),
             "latency": {
                 t.name: (acc.count, acc.total, acc.queuing,
                          acc.non_queuing, acc.clamped)
@@ -196,30 +195,3 @@ class NetworkStats:
         """A stable hash of :meth:`snapshot` (hex digest)."""
         payload = json.dumps(self.snapshot(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
-
-    def merge(self, other: "NetworkStats") -> None:
-        """Fold another network's counters into this one (DA2Mesh subnets)."""
-        self.buffer_writes += other.buffer_writes
-        self.buffer_reads += other.buffer_reads
-        self.xbar_traversals += other.xbar_traversals
-        self.vc_allocs += other.vc_allocs
-        self.link_hops_onchip += other.link_hops_onchip
-        self.link_hops_interposer += other.link_hops_interposer
-        self.interposer_hop_length += other.interposer_hop_length
-        self.flits_injected += other.flits_injected
-        self.flits_ejected += other.flits_ejected
-        self.packets_created += other.packets_created
-        self.packets_delivered += other.packets_delivered
-        self.bits_delivered += other.bits_delivered
-        self.flits_dropped += other.flits_dropped
-        self.flits_reclaimed += other.flits_reclaimed
-        self.packets_recovered += other.packets_recovered
-        self.residence_cycles += other.residence_cycles
-        self.residence_count += other.residence_count
-        for t in PacketType:
-            acc, oacc = self.latency[t], other.latency[t]
-            acc.count += oacc.count
-            acc.total += oacc.total
-            acc.queuing += oacc.queuing
-            acc.non_queuing += oacc.non_queuing
-            acc.clamped += oacc.clamped

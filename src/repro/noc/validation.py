@@ -152,6 +152,7 @@ def audit_network(net: Network, strict_classes: bool = True) -> AuditReport:
     problems.extend(_check_flit_conservation(net, census))
     problems.extend(_check_packet_conservation(net, census))
     problems.extend(_check_scheduler_sets(net))
+    problems.extend(_check_event_dicts(net))
     stats = net.stats
     counters = {
         "flits_injected": stats.flits_injected,
@@ -528,4 +529,32 @@ def _check_scheduler_sets(net: Network) -> List[str]:
         problems.append(
             f"scheduler: workless NIs left armed: {sorted(ni_stale)}"
         )
+    return problems
+
+
+def _check_event_dicts(net: Network) -> List[str]:
+    """The per-cycle event dicts hold only live, non-empty entries.
+
+    ``quiescent()`` and ``idle()`` test ``_arrivals``/``_credits`` for
+    truthiness, so an empty per-cycle list reads as pending work and
+    silently turns off fast-forward, and an entry for a cycle the
+    network has already ticked past is never processed.  No fingerprint
+    sees either state.  ``_delivered`` likewise holds only nodes with a
+    queued packet (callers use its keys as the set worth polling).
+    """
+    problems = []
+    for name in ("_arrivals", "_credits"):
+        for cycle, events in sorted(getattr(net, name).items()):
+            if not events:
+                problems.append(
+                    f"event dict: empty {name} list at cycle {cycle}"
+                )
+            if cycle <= net.cycle:
+                problems.append(
+                    f"event dict: {name} entry for past cycle {cycle} "
+                    f"(network at cycle {net.cycle})"
+                )
+    empty = sorted(node for node, n in net._delivered.items() if n <= 0)
+    if empty:
+        problems.append(f"event dict: zero-count _delivered nodes {empty}")
     return problems

@@ -13,7 +13,7 @@ consumed by the GPU system model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.equinox import EquiNoxDesign
 from ..core.grid import Grid
@@ -279,6 +279,13 @@ class Fabric:
                         self.cmesh_net, cnode
                     )
 
+        # Networks whose receive queues pop_reply / pop_request drain
+        # (the CMesh overlay carries both and is handled separately).
+        self._reply_inboxes: List[Network] = (
+            list(self.reply_subnets) if config.da2mesh else [self.reply_net]
+        )
+        self._request_inboxes: List[Network] = [self.request_net]
+
         # --- NIs ----------------------------------------------------------
         def _cb_core(cb: int):
             if self.cmesh_net is None:
@@ -465,6 +472,35 @@ class Fabric:
         port = self._cmesh_eject[(cnode, self.cmap.local_index(tile))]
         packet = self.cmesh_net.pop_delivered(cnode, port=port)
         return packet.token.inner if packet else None
+
+    def pending_replies(self) -> Set[int]:
+        """Tiles whose reply networks hold a delivered packet.
+
+        :meth:`pop_reply` at a tile outside this set returns ``None``
+        and changes no state, so callers may skip it; the set changes
+        only inside network ticks and pops.  It may be a superset: a
+        concentrated CMesh node stands for all of its tiles, and a
+        shared network also names CB tiles holding requests.
+        """
+        return self._pending(self._reply_inboxes)
+
+    def pending_requests(self) -> Set[int]:
+        """Tiles whose request networks hold a delivered packet.
+
+        The :meth:`pop_request` counterpart of :meth:`pending_replies`.
+        """
+        return self._pending(self._request_inboxes)
+
+    def _pending(self, inboxes) -> Set[int]:
+        tiles: Set[int] = set()
+        for net in inboxes:
+            if net._delivered:
+                tiles.update(net._delivered)
+        cmesh = self.cmesh_net
+        if cmesh is not None and cmesh._delivered:
+            for cnode in cmesh._delivered:
+                tiles.update(self.cmap.tiles_of(cnode))
+        return tiles
 
     def pop_reply(self, pe: int) -> Optional[object]:
         """One arrived reply transaction at ``pe``, if any."""

@@ -228,6 +228,65 @@ class TestHeatmap:
         assert heat.sum() > 0
 
 
+class TestEventModel:
+    def test_router_commits_its_moves(self):
+        """Router.tick schedules each move's flit and credit for the
+        next cycle and counts it, with on_move fired once per move."""
+        net, nis = make_net(8)
+        send(net, nis, 1, 0, 63, PacketType.READ_REPLY, 1)
+        seen = []
+        net.on_move = lambda *args: seen.append(args)
+        for _ in range(4):
+            net.tick()
+        assert seen
+        stats = net.stats
+        assert stats.xbar_traversals == stats.buffer_reads == len(seen)
+        assert sum(stats.residence_count) == len(seen)
+        cycle = net.cycle
+        this_cycle = [m for m in seen if m[-1] == cycle]
+        nxt = cycle + 1
+        # Routers add one credit per move; the NI's next flit also
+        # lands in the arrivals, scheduled through schedule_flit.
+        assert len(net._credits[nxt]) == len(this_cycle)
+        router_arrivals = [
+            ev for ev in net._arrivals[nxt]
+            if any(ev[3] is m[5] for m in this_cycle)
+        ]
+        assert len(router_arrivals) == len(this_cycle)
+        for (node, _ip, _iv, out_port, out_vc, flit, _c), arrival in zip(
+            this_cycle, router_arrivals
+        ):
+            nbr, nbr_port = net.routers[node].neighbors[out_port]
+            assert arrival == (nbr, nbr_port, out_vc, flit)
+
+    def test_tick_return_matches_committed_moves(self):
+        net, _ = make_net(8)
+        router = net.routers[0]
+        port = router.input_ports[-1]  # the NI's injection port
+        packet = Packet(1, PacketType.READ_REQUEST, 0, 63, 1, 0)
+        router.accept(port, 0, packet.make_flits()[0], 1)
+        moves = router.tick(1)
+        assert len(moves) == 1
+        in_port, in_vc, out_port, out_vc, flit = moves[0]
+        assert (in_port, in_vc, flit.packet) == (port, 0, packet)
+        nbr, nbr_port = router.neighbors[out_port]
+        assert net._arrivals == {2: [(nbr, nbr_port, out_vc, flit)]}
+        assert net._credits == {2: [(net.upstream[(0, port)], 0)]}
+        assert router.flit_count == 0
+        assert router.tick(2) == []  # an empty router commits nothing
+        assert list(net._arrivals) == [2]
+
+    def test_idle_tick_equals_skip_cycle(self):
+        ticked, _ = make_net()
+        skipped, _ = make_net()
+        for _ in range(7):
+            ticked.tick()
+            skipped.skip_cycle()
+        assert ticked.cycle == skipped.cycle == 7
+        assert ticked.stats.snapshot() == skipped.stats.snapshot()
+        assert not ticked._arrivals and not ticked._credits
+
+
 class TestResolveEngine:
     def test_resolve_engine_names_the_only_engine(self):
         # Kept for callers that record the engine name in run headers.

@@ -161,6 +161,43 @@ class TestFabricTraffic:
     def test_request_reply_roundtrip(self, scheme):
         self._roundtrip(scheme)
 
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
+    def test_pending_sets_cover_every_poll_hit(self, scheme):
+        """A tile outside pending_replies/pending_requests never pops
+        anything, so System.run may skip polling it."""
+        fabric = build_fabric(scheme, self.cfg)
+        pes, cbs = fabric.pes, fabric.placement
+        sent = 0
+        for i, pe in enumerate(pes[::3]):
+            cb = cbs[i % len(cbs)]
+            fabric.send_request(pe, cb, PacketType.READ_REQUEST, ("q", i))
+            fabric.send_reply(cb, pe, PacketType.READ_REPLY, ("r", i))
+            sent += 2
+        got = 0
+        for _ in range(2000):
+            fabric.tick()
+            replies = fabric.pending_replies()
+            requests = fabric.pending_requests()
+            for pe in pes:
+                while True:
+                    token = fabric.pop_reply(pe)
+                    if token is None:
+                        break
+                    assert pe in replies
+                    got += 1
+            for cb in cbs:
+                while True:
+                    token = fabric.pop_request(cb)
+                    if token is None:
+                        break
+                    assert cb in requests
+                    got += 1
+            if got == sent:
+                break
+        assert got == sent
+        assert not fabric.pending_replies()
+        assert not fabric.pending_requests()
+
     def test_cmesh_chooser_uses_overlay_for_far_traffic(self):
         fabric = build_fabric("Interposer-CMesh", self.cfg)
         grid = fabric.grid

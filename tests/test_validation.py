@@ -103,6 +103,50 @@ class TestAuditReport:
 class TestConservationAudit:
     """Deliberate corruptions each trip the matching audit check."""
 
+    def test_empty_event_list_detected(self):
+        """An empty per-cycle list reads as pending work and turns off
+        fast-forward; no fingerprint would notice, so the audit must."""
+        net, nis = make_net()
+        run_traffic(net, nis, cycles=3)
+        assert check_invariants(net) == []
+        net._arrivals[net.cycle + 5] = []
+        net._credits[net.cycle + 5] = []
+        problems = check_invariants(net)
+        assert any("empty _arrivals list" in p for p in problems)
+        assert any("empty _credits list" in p for p in problems)
+
+    def test_past_cycle_event_detected(self):
+        net, nis = make_net()
+        run_traffic(net, nis, cycles=3)
+        moved = net._arrivals.pop(net.cycle + 1)
+        net._arrivals[net.cycle] = moved  # would never be processed
+        assert any(
+            "_arrivals entry for past cycle" in p
+            for p in check_invariants(net)
+        )
+
+    def test_zero_count_delivered_entry_detected(self):
+        net, _ = make_net()
+        net._delivered[4] = 0
+        assert any(
+            "zero-count _delivered" in p for p in check_invariants(net)
+        )
+
+    def test_traffic_leaves_no_empty_event_lists(self):
+        net, nis = make_net()
+        for pid, (src, dst) in enumerate([(0, 15), (5, 10), (12, 3)], start=1):
+            nis[src].enqueue(
+                Packet(pid, PacketType.READ_REPLY, src, dst, 5, 0, vc_class=1)
+            )
+        for _ in range(60):
+            net.tick()
+            assert all(net._arrivals.values())
+            assert all(net._credits.values())
+            for n in net.grid.nodes():
+                while net.pop_delivered(n):
+                    pass
+        assert net.quiescent()
+
     def test_injection_link_negative_credit_detected(self):
         net, nis = make_net()
         nis[0].buffers[0].link.credits[0] = -1
