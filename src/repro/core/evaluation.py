@@ -208,6 +208,7 @@ class IncrementalEvaluator:
         self.weights = weights
         cb_set = set(self.placement)
         self._pes = [n for n in grid.nodes() if n not in cb_set]
+        self._coords = list(grid.coords())
         self._baseline_hops = _baseline_avg_hops(grid, self.placement)
         self._fragments: Dict[Tuple[int, tuple], _Fragment] = {}
 
@@ -220,29 +221,36 @@ class IncrementalEvaluator:
         return frag
 
     def _compute_fragment(self, group: EirGroup) -> _Fragment:
-        grid = self.grid
+        # Same arithmetic as shortest_path_eirs/average_hops/injection_loads
+        # with the mesh distances taken from hoisted coordinates: integer
+        # hop sums, then one division, in the same order.
         cb = group.cb
-        nodes = group.nodes
+        cx, cy = self._coords[cb]
+        eirs = []
+        for node in group.nodes:
+            ex, ey = self._coords[node]
+            eirs.append((node, ex, ey, abs(ex - cx) + abs(ey - cy)))
         adds: List[Tuple[int, float]] = []
         hops_list: List[float] = []
         for dst in self._pes:
-            base = grid.hops(cb, dst)
-            choices = [
-                node for node in nodes
-                if grid.hops(cb, node) + grid.hops(node, dst) == base
-            ]
+            dx, dy = self._coords[dst]
+            base = abs(cx - dx) + abs(cy - dy)
+            choices = []
+            hop_sum = 0
+            for node, ex, ey, to_eir in eirs:
+                to_dst = abs(ex - dx) + abs(ey - dy)
+                if to_eir + to_dst == base:
+                    choices.append(node)
+                    hop_sum += 1 + to_dst
             if choices:
-                hops = sum(1 + grid.hops(e, dst) for e in choices) / len(
-                    choices
-                )
+                hops_list.append(hop_sum / len(choices))
+                share = 1.0 / len(choices)
+                for inj in choices:
+                    adds.append((inj, share))
             else:
-                hops = 1 + base - 1  # local injection
-            hops_list.append(hops)
-            loaded = choices if choices else [cb]
-            share = 1.0 / len(loaded)
-            for inj in loaded:
-                adds.append((inj, share))
-        return _Fragment((cb,) + nodes, adds, hops_list)
+                hops_list.append(base)  # local injection
+                adds.append((cb, 1.0))
+        return _Fragment((cb,) + group.nodes, adds, hops_list)
 
     def evaluate(self, groups: Sequence[EirGroup]) -> EvalResult:
         """Evaluate a complete design given as one group per CB."""

@@ -12,10 +12,34 @@ never drift apart.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 Coord = Tuple[int, int]
+
+_MESH_OFFSETS: Tuple[Coord, ...] = ((0, -1), (0, 1), (1, 0), (-1, 0))
+_DIAGONAL_OFFSETS: Tuple[Coord, ...] = ((-1, -1), (1, -1), (-1, 1), (1, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _offset_table(
+    width: int, height: int, offsets: Tuple[Coord, ...]
+) -> Tuple[Tuple[int, ...], ...]:
+    """Per node id, the in-grid nodes at each of ``offsets``, in that order.
+
+    Built once per grid shape: placement scoring asks for the same
+    neighbourhoods thousands of times.
+    """
+    return tuple(
+        tuple(
+            (y + dy) * width + x + dx
+            for dx, dy in offsets
+            if 0 <= x + dx < width and 0 <= y + dy < height
+        )
+        for y in range(height)
+        for x in range(width)
+    )
 
 
 @dataclass(frozen=True)
@@ -47,6 +71,10 @@ class Grid:
         """Total number of tiles."""
         return self.width * self.height
 
+    def _check_node(self, node: int) -> None:
+        if not 0 <= node < self.size:
+            raise ValueError(f"node {node} outside {self.width}x{self.height} grid")
+
     def node(self, x: int, y: int) -> int:
         """Return the node id for coordinate ``(x, y)``."""
         if not self.contains(x, y):
@@ -55,8 +83,7 @@ class Grid:
 
     def coord(self, node: int) -> Coord:
         """Return the ``(x, y)`` coordinate of ``node``."""
-        if not 0 <= node < self.size:
-            raise ValueError(f"node {node} outside {self.width}x{self.height} grid")
+        self._check_node(node)
         return node % self.width, node // self.width
 
     def contains(self, x: int, y: int) -> bool:
@@ -80,23 +107,28 @@ class Grid:
         bx, by = self.coord(b)
         return abs(ax - bx) + abs(ay - by)
 
+    def neighbor_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Mesh neighbours of every node, indexed by node id (unchecked).
+
+        ``neighbor_table()[n]`` is :meth:`neighbors` of ``n`` as a
+        shared tuple, for loops that look up many nodes known to be in
+        range.
+        """
+        return _offset_table(self.width, self.height, _MESH_OFFSETS)
+
+    def diagonal_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Diagonal neighbours of every node, indexed by node id (unchecked)."""
+        return _offset_table(self.width, self.height, _DIAGONAL_OFFSETS)
+
     def neighbors(self, node: int) -> List[int]:
         """The up-to-four mesh neighbours of ``node`` (N, S, E, W order)."""
-        x, y = self.coord(node)
-        out = []
-        for dx, dy in ((0, -1), (0, 1), (1, 0), (-1, 0)):
-            if self.contains(x + dx, y + dy):
-                out.append(self.node(x + dx, y + dy))
-        return out
+        self._check_node(node)
+        return list(self.neighbor_table()[node])
 
     def diagonal_neighbors(self, node: int) -> List[int]:
         """The up-to-four diagonal neighbours of ``node``."""
-        x, y = self.coord(node)
-        out = []
-        for dx, dy in ((-1, -1), (1, -1), (-1, 1), (1, 1)):
-            if self.contains(x + dx, y + dy):
-                out.append(self.node(x + dx, y + dy))
-        return out
+        self._check_node(node)
+        return list(self.diagonal_table()[node])
 
     def ring(self, node: int, radius: int) -> List[int]:
         """All nodes at exactly ``radius`` Manhattan hops from ``node``."""

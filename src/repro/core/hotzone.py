@@ -101,25 +101,41 @@ def node_penalty(m: int) -> int:
     return m * (m + 1) // 2
 
 
+def _overlap_neighbor_counts(grid: Grid, placement: Sequence[int]) -> Dict[int, int]:
+    """``m`` of every tile that has at least one overlap direct neighbour.
+
+    Equivalent to counting, for every tile, its neighbours in
+    :func:`overlap_tiles`, but driven by the grid's neighbour tables: the
+    owners of each hot-zone tile are counted (a CB listed twice owns a
+    tile once), and only the neighbours of overlap tiles are visited.
+    """
+    mesh = grid.neighbor_table()
+    diagonal = grid.diagonal_table()
+    owners: Dict[int, int] = {}
+    for cb in set(placement):
+        if not 0 <= cb < grid.size:
+            raise ValueError(f"node {cb} outside {grid.width}x{grid.height} grid")
+        for tile in mesh[cb] + diagonal[cb]:
+            owners[tile] = owners.get(tile, 0) + 1
+    counts: Dict[int, int] = {}
+    for tile, n in owners.items():
+        if n >= 2:
+            for nb in mesh[tile]:
+                counts[nb] = counts.get(nb, 0) + 1
+    return counts
+
+
 def placement_penalty(grid: Grid, placement: Sequence[int]) -> int:
     """Total penalty score of a CB placement (lower is better)."""
-    overlaps = overlap_tiles(grid, placement)
-    total = 0
-    for node in grid.nodes():
-        m = sum(1 for nb in grid.neighbors(node) if nb in overlaps)
-        total += node_penalty(m)
-    return total
+    return sum(
+        node_penalty(m) for m in _overlap_neighbor_counts(grid, placement).values()
+    )
 
 
 def penalty_map(grid: Grid, placement: Sequence[int]) -> Dict[int, int]:
     """Per-node penalty contributions (useful for visual inspection)."""
-    overlaps = overlap_tiles(grid, placement)
-    out: Dict[int, int] = {}
-    for node in grid.nodes():
-        m = sum(1 for nb in grid.neighbors(node) if nb in overlaps)
-        if m:
-            out[node] = node_penalty(m)
-    return out
+    counts = _overlap_neighbor_counts(grid, placement)
+    return {node: node_penalty(counts[node]) for node in sorted(counts)}
 
 
 def rank_placements(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import evaluation
 from ..eir import (
@@ -33,6 +33,7 @@ from ..eir import (
     MIN_EIR_DISTANCE,
     EirDesign,
     EirGroup,
+    candidate_positions,
     enumerate_groups,
     make_group,
 )
@@ -89,6 +90,22 @@ class EirSearch:
         self.config = config or SearchConfig()
         self._rng = random.Random(self.config.seed)
         self._eval_cache: Dict[Tuple[EirGroup, ...], evaluation.EvalResult] = {}
+        # enumerate_groups reads ``taken`` only through membership tests
+        # on the CB's candidate nodes, so its result is memoised on
+        # ``(cb, taken & candidates)``.
+        self._candidates: Dict[int, FrozenSet[int]] = {}
+        for cb in self.placement:
+            per_dir = candidate_positions(
+                grid,
+                self.placement,
+                cb,
+                min_distance=self.config.min_distance,
+                max_distance=self.config.max_distance,
+            )
+            self._candidates[cb] = frozenset(
+                n for nodes in per_dir.values() for n in nodes
+            )
+        self._actions: Dict[Tuple[int, FrozenSet[int]], List[EirGroup]] = {}
         self._evaluator = evaluation.IncrementalEvaluator(
             grid, self.placement, self.config.weights
         )
@@ -100,27 +117,29 @@ class EirSearch:
     # ------------------------------------------------------------------
     # Action model
     # ------------------------------------------------------------------
-    def _taken(self, state: Sequence[EirGroup]) -> frozenset:
-        return frozenset(n for g in state for n in g.nodes)
-
     def actions(self, state: Sequence[EirGroup]) -> List[EirGroup]:
-        """Legal EIR groups for the next undecided CB."""
+        """Legal EIR groups for the next undecided CB (a fresh list)."""
         depth = len(state)
         if depth >= len(self.placement):
             return []
         cb = self.placement[depth]
-        groups = enumerate_groups(
-            self.grid,
-            self.placement,
-            cb,
-            taken=self._taken(state),
-            min_distance=self.config.min_distance,
-            max_distance=self.config.max_distance,
-            require_full=self.config.require_full_groups,
-        )
-        if not groups:
-            groups = [make_group(cb, {})]
-        return groups
+        candidates = self._candidates[cb]
+        key = (cb, frozenset(n for g in state for n in g.nodes if n in candidates))
+        groups = self._actions.get(key)
+        if groups is None:
+            groups = enumerate_groups(
+                self.grid,
+                self.placement,
+                cb,
+                taken=key[1],
+                min_distance=self.config.min_distance,
+                max_distance=self.config.max_distance,
+                require_full=self.config.require_full_groups,
+            )
+            if not groups:
+                groups = [make_group(cb, {})]
+            self._actions[key] = groups
+        return list(groups)
 
     def is_terminal(self, state: Sequence[EirGroup]) -> bool:
         return len(state) == len(self.placement)
@@ -191,7 +210,7 @@ class EirSearch:
     def _search_level(self, committed: Sequence[EirGroup]) -> Node:
         """One MCTS budget deciding the next CB's group."""
         root = Node(action=None)
-        root.untried = list(self.actions(committed))
+        root.untried = self.actions(committed)
         self._rng.shuffle(root.untried)
         for _ in range(self.config.iterations_per_level):
             self._iterate(root, committed)
@@ -213,7 +232,7 @@ class EirSearch:
         if node.untried and not self.is_terminal(state):
             action = node.untried.pop()
             node = node.add_child(action)
-            node.untried = list(self.actions(state + [action]))
+            node.untried = self.actions(state + [action])
             self._rng.shuffle(node.untried)
             state.append(action)
             self.nodes_expanded += 1

@@ -12,6 +12,7 @@ distinct-column constraints structurally.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .grid import Grid
@@ -152,6 +153,22 @@ def count_solutions(n: int) -> int:
     return len(solve_all(n))
 
 
+def row_subsets(
+    n: int, k: int, seed: int = 0, max_subsets: int = 512
+) -> List[Tuple[int, ...]]:
+    """The ``k``-row subsets of an ``n``-row board that pruning tries.
+
+    All ``C(n, k)`` subsets when few enough, otherwise a deterministic
+    random sample of ``max_subsets``.  The draw depends only on its
+    arguments, so one draw serves every solution of a board.
+    """
+    subsets = list(combinations(range(n), k))
+    if len(subsets) > max_subsets:
+        random.Random(seed).shuffle(subsets)
+        subsets = subsets[:max_subsets]
+    return subsets
+
+
 def prune_to_k(
     cols: Sequence[int], k: int, seed: int = 0, max_subsets: int = 512
 ) -> Iterator[Tuple[Tuple[int, int], ...]]:
@@ -159,19 +176,11 @@ def prune_to_k(
 
     When the processor has fewer CBs than N, redundant queens are
     deleted and the scoring policy picks the best subset (paper §6.8).
-    Each yielded placement is a tuple of ``(col, row)`` coordinates.
-    All subsets are yielded when few enough, otherwise a deterministic
-    random sample of ``max_subsets``.
+    Each yielded placement is a tuple of ``(col, row)`` coordinates, one
+    per subset of :func:`row_subsets`.
     """
     n = len(cols)
     if k > n:
         raise ValueError("cannot prune to more queens than present")
-    from itertools import combinations
-
-    all_subsets = list(combinations(range(n), k))
-    rng = random.Random(seed)
-    if len(all_subsets) > max_subsets:
-        rng.shuffle(all_subsets)
-        all_subsets = all_subsets[:max_subsets]
-    for rows in all_subsets:
+    for rows in row_subsets(n, k, seed=seed, max_subsets=max_subsets):
         yield tuple((cols[r], r) for r in rows)

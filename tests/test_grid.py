@@ -75,6 +75,33 @@ class TestDistances:
         grid = Grid(8)
         assert len(grid.neighbors(grid.node(0, 0))) == 2
 
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    def test_neighbor_tables_match_coordinates(self, width, height, data):
+        grid = Grid(width, height)
+        node = data.draw(st.integers(0, grid.size - 1))
+        x, y = grid.coord(node)
+
+        def at(offsets):
+            return [grid.node(x + dx, y + dy) for dx, dy in offsets
+                    if grid.contains(x + dx, y + dy)]
+
+        assert grid.neighbors(node) == at(((0, -1), (0, 1), (1, 0), (-1, 0)))
+        assert grid.diagonal_neighbors(node) == at(
+            ((-1, -1), (1, -1), (-1, 1), (1, 1))
+        )
+
+    def test_neighbors_fresh_list_and_range_checked(self):
+        grid = Grid(4, 3)
+        grid.neighbors(5).append(99)
+        grid.diagonal_neighbors(5).clear()
+        assert grid.neighbors(5) == [1, 9, 6, 4]
+        assert grid.diagonal_neighbors(5) == [0, 2, 8, 10]
+        for node in (-1, 12):
+            with pytest.raises(ValueError):
+                grid.neighbors(node)
+            with pytest.raises(ValueError):
+                grid.diagonal_neighbors(node)
+
     def test_diagonal_neighbors(self):
         grid = Grid(8)
         node = grid.node(3, 3)

@@ -122,6 +122,59 @@ class TestPenalty:
         )
 
 
+
+@st.composite
+def _grid_and_placement(draw):
+    """A square or non-square grid and a placement that may repeat nodes."""
+    width = draw(st.integers(1, 9))
+    height = draw(st.integers(1, 9))
+    grid = Grid(width, height)
+    corners = [0, width - 1, grid.size - width, grid.size - 1]
+    node = st.one_of(st.integers(0, grid.size - 1), st.sampled_from(corners))
+    return grid, tuple(draw(st.lists(node, max_size=12)))
+
+
+class TestPenaltyOracle:
+    """The table-driven penalty against its definition in overlap_tiles."""
+
+    @given(_grid_and_placement())
+    def test_penalty_matches_definition(self, case):
+        grid, placement = case
+        overlaps = hotzone.overlap_tiles(grid, placement)
+        expected = sum(
+            hotzone.node_penalty(
+                sum(1 for nb in grid.neighbors(node) if nb in overlaps)
+            )
+            for node in grid.nodes()
+        )
+        assert hotzone.placement_penalty(grid, placement) == expected
+
+    @given(_grid_and_placement())
+    def test_penalty_map_sums_to_penalty(self, case):
+        grid, placement = case
+        pmap = hotzone.penalty_map(grid, placement)
+        assert all(value > 0 for value in pmap.values())
+        assert sum(pmap.values()) == hotzone.placement_penalty(grid, placement)
+
+    def test_duplicate_cb_owns_a_tile_once(self):
+        grid = Grid(8)
+        placement = (grid.node(3, 3), grid.node(5, 5))
+        doubled = placement + (grid.node(3, 3),)
+        assert hotzone.placement_penalty(grid, doubled) == (
+            hotzone.placement_penalty(grid, placement)
+        )
+        # A lone CB listed twice still has no second owner.
+        lone = (grid.node(4, 4),) * 2
+        assert hotzone.overlap_tiles(grid, lone) == set()
+        assert hotzone.placement_penalty(grid, lone) == 0
+
+    def test_out_of_range_cb_rejected(self):
+        with pytest.raises(ValueError):
+            hotzone.placement_penalty(Grid(4), (0, 16))
+        with pytest.raises(ValueError):
+            hotzone.penalty_map(Grid(4), (-1, 5))
+
+
 class TestRanking:
     def test_rank_sorted_ascending(self):
         grid = Grid(8)

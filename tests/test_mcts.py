@@ -1,11 +1,12 @@
 """Unit tests for the MCTS EIR search."""
 
 import math
+import random
 
 import pytest
 
 from repro.core import placement
-from repro.core.eir import make_group
+from repro.core.eir import enumerate_groups, make_group
 from repro.core.grid import Grid
 from repro.core.mcts import (
     EirSearch,
@@ -123,6 +124,31 @@ class TestSearch:
         used = set(first.nodes)
         for group in second_actions:
             assert not (set(group.nodes) & used)
+
+    @pytest.mark.parametrize("width", [8, 12])
+    def test_memoised_actions_match_enumeration(self, width):
+        grid = Grid(width)
+        cbs = placement.nqueen_best(grid, 8).nodes
+        search = EirSearch(grid, cbs, SearchConfig(seed=4))
+        rng = random.Random(width)
+        for _ in range(40):
+            # A random prefix of a random complete design, so the taken
+            # set mixes nodes inside and outside each CB's candidates.
+            full = search.rollout(())
+            state = full[: rng.randrange(len(cbs))]
+            cb = cbs[len(state)]
+            expected = enumerate_groups(
+                grid, cbs, cb,
+                taken=frozenset(n for g in state for n in g.nodes),
+                require_full=True,
+            ) or [make_group(cb, {})]
+            assert search.actions(state) == expected
+            # Callers shuffle and pop the returned list; the memo must
+            # not see that.
+            returned = search.actions(state)
+            returned.reverse()
+            returned.pop()
+            assert search.actions(state) == expected
 
     def test_rollout_completes_state(self, grid, nodes):
         search = EirSearch(grid, nodes, SearchConfig(seed=3))

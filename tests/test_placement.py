@@ -99,6 +99,13 @@ class TestNQueen:
         with pytest.raises(ValueError):
             placement.nqueen_best(grid, 9)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nqueen_unsolvable_board(self, n):
+        # No N-Queen solution exists on 2x2 or 3x3: a clear error, not
+        # an assertion (or a None return under python -O).
+        with pytest.raises(ValueError, match=f"{n}x{n} board"):
+            placement.nqueen_best(Grid(n), 2)
+
 
 class TestKnightMove:
     def test_knight_move_many_cbs(self, grid):

@@ -155,8 +155,9 @@ class TestSyntheticDifferential:
 # MCTS evaluation memoization
 # ----------------------------------------------------------------------
 class TestIncrementalEvaluation:
-    def test_incremental_matches_direct_bit_for_bit(self):
-        grid = Grid(8)
+    @staticmethod
+    def _assert_incremental_matches_direct(width):
+        grid = Grid(width)
         placement = nqueen_best(grid, 8).nodes
         search = EirSearch(grid, placement,
                            SearchConfig(iterations_per_level=5, seed=3))
@@ -168,6 +169,12 @@ class TestIncrementalEvaluation:
             assert inc.score == direct.score
             assert inc.raw == direct.raw
             assert inc.normalized == direct.normalized
+
+    def test_incremental_matches_direct_bit_for_bit(self):
+        self._assert_incremental_matches_direct(8)
+
+    def test_incremental_matches_direct_bit_for_bit_16x16(self):
+        self._assert_incremental_matches_direct(16)
 
     def test_search_reports_nonzero_hit_rate(self):
         grid = Grid(8)
